@@ -26,32 +26,53 @@ import numpy as np
 
 from .defaults import CASCADE_TOL, ITERS, J_LEVEL, K_TERMS
 from .filterbank import FilterBank
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, frozen_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Samples on the grid 2**(-j_level) * Z over a finite support block.
 
-    values[i] is the sample at grid index support_lo + i; the length equals
-    support_hi - support_lo + 1.
+    data[i] is the sample at grid index support_lo + i, held in one read-only
+    complex ndarray that operations use and share without copying; `values`
+    is its tuple-of-complex view.  support_hi = support_lo + len(data) - 1.
+    Build grid functions with `from_values`, which copies and freezes its
+    input.  Equality and hashing compare the level, the support and the
+    sample values.
     """
 
     j_level: int
     support_lo: int
-    support_hi: int
-    values: tuple
+    data: np.ndarray
 
     def __post_init__(self):
         if self.j_level < 0:
             raise ValueError("j_level must be nonnegative")
-        if len(self.values) != self.support_hi - self.support_lo + 1:
-            raise ValueError("length must equal support_hi - support_lo + 1")
 
     @staticmethod
     def from_values(j_level: int, support_lo: int, values) -> "GridFunction":
-        vals = tuple(complex(v) for v in values)
-        return GridFunction(j_level, support_lo, support_lo + len(vals) - 1, vals)
+        return GridFunction(j_level, support_lo, frozen_vector(values))
+
+    @property
+    def support_hi(self) -> int:
+        return self.support_lo + len(self.data) - 1
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self.data.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        return (
+            self.j_level == other.j_level
+            and self.support_lo == other.support_lo
+            and np.array_equal(self.data, other.data)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.j_level, self.support_lo, (self.data + 0.0).tobytes()))
 
     @staticmethod
     def box(j_level: int) -> "GridFunction":
@@ -64,7 +85,7 @@ class GridFunction:
         return 2.0 ** (-self.j_level)
 
     def value_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        return self.data
 
     def x(self) -> np.ndarray:
         """Left endpoints of the grid cells."""
@@ -73,7 +94,7 @@ class GridFunction:
     def at_index(self, i: int) -> complex:
         if i < self.support_lo or i > self.support_hi:
             return 0.0 + 0.0j
-        return self.values[i - self.support_lo]
+        return complex(self.data[i - self.support_lo])
 
     def riemann_sum(self) -> complex:
         return complex(np.sum(self.value_array()) * self.step)
@@ -92,12 +113,7 @@ class GridFunction:
     def translate(self, integer_shift: int) -> "GridFunction":
         """Shift by an integer (in function units, i.e. 2**j_level grid steps)."""
         shift = integer_shift << self.j_level
-        return GridFunction(
-            self.j_level,
-            self.support_lo + shift,
-            self.support_hi + shift,
-            self.values,
-        )
+        return GridFunction(self.j_level, self.support_lo + shift, self.data)
 
     def is_trivial(self) -> bool:
         return not np.any(self.value_array())
@@ -110,8 +126,8 @@ def _aligned(a: GridFunction, b: GridFunction) -> tuple[np.ndarray, np.ndarray, 
     hi = max(a.support_hi, b.support_hi)
     va = np.zeros(hi - lo + 1, dtype=complex)
     vb = np.zeros(hi - lo + 1, dtype=complex)
-    va[a.support_lo - lo : a.support_hi - lo + 1] = a.values
-    vb[b.support_lo - lo : b.support_hi - lo + 1] = b.values
+    va[a.support_lo - lo : a.support_hi - lo + 1] = a.data
+    vb[b.support_lo - lo : b.support_hi - lo + 1] = b.data
     return va, vb, lo
 
 

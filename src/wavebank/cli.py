@@ -18,6 +18,7 @@ import numpy as np
 from . import defaults
 from .cascade import scaling_function, wavelet_from_scaling
 from .design import (
+    FactorizationError,
     ProjectionParam,
     bank_from_projections,
     daubechies4,
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, SingularOnTorusError) as exc:
+    except (ValueError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -35,36 +36,96 @@ def dump_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def write_signal_csv(sig: Signal, path) -> None:
+def _write_rows(path, header: str, *columns) -> None:
+    """`header` then one row per entry of the columns, each cell its repr
+    (shortest round-trip floats), CRLF line ends: the bytes csv.writer gives
+    for these cells, built as one string."""
+    body = "".join(f"{a!r},{b!r},{c!r}\r\n" for a, b, c in zip(*columns))
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(sig.samples):
-            writer.writerow([sig.offset + i, repr(v.real), repr(v.imag)])
+        fh.write(header + "\r\n")
+        fh.write(body)
+
+
+def write_signal_csv(sig: Signal, path) -> None:
+    data = sig.data
+    _write_rows(
+        path,
+        "index,re,im",
+        range(sig.offset, sig.end),
+        data.real.tolist(),
+        data.imag.tolist(),
+    )
+
+
+_SIGNAL_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
 
 def read_signal_csv(path) -> Signal:
+    """Signal from `index,re,im` rows; missing indices read as zero and the
+    last row of a repeated index wins.
+
+    A headed file of three-column rows is parsed in bulk by numpy.  Any file
+    numpy rejects (no header, 2- or 4-column rows, blank cells, malformed
+    rows, indices beyond int64) goes through the row parser, which accepts
+    the same files as numpy plus those and reports errors as `path:line`.
+    """
     path = Path(path)
-    entries = {}
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1 and row and row[0].strip().lower() == "index":
-                    continue
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                try:
-                    idx = int(row[0])
-                    re = float(row[1])
-                    im = float(row[2]) if len(row) > 2 else 0.0
-                except (ValueError, IndexError) as exc:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected 'index,re,im', got {row!r}"
-                    ) from exc
-                entries[idx] = complex(re, im)
+        rows = _load_signal_rows(path)
+        if rows is None:
+            return _parse_signal_rows(path)
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror}") from exc
+    if not len(rows):
+        return Signal.zero()
+    index = rows["index"]
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    last = order[np.append(ordered[1:] != ordered[:-1], True)]  # last row per index
+    lo = int(ordered[0])
+    dense = np.zeros(int(ordered[-1]) - lo + 1, dtype=complex)
+    slots = index[last] - lo
+    dense.real[slots] = rows["re"][last]
+    dense.imag[slots] = rows["im"][last]
+    return Signal.from_samples(lo, dense)
+
+
+def _load_signal_rows(path: Path):
+    """The rows of a headed three-column signal file as a _SIGNAL_ROW array,
+    or None when np.loadtxt does not accept the file."""
+    with path.open() as fh:
+        if fh.readline().split(",", 1)[0].strip().lower() != "index":
+            return None
+    with warnings.catch_warnings():
+        # a header-only file is an empty signal, not a numpy warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(
+                path, dtype=_SIGNAL_ROW, delimiter=",", comments=None,
+                skiprows=1, ndmin=1,
+            )
+        except ValueError:
+            return None
+
+
+def _parse_signal_rows(path: Path) -> Signal:
+    entries = {}
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1 and row and row[0].strip().lower() == "index":
+                continue
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                idx = int(row[0])
+                re = float(row[1])
+                im = float(row[2]) if len(row) > 2 else 0.0
+            except (ValueError, IndexError) as exc:
+                raise InputFormatError(
+                    f"{path}:{lineno}: expected 'index,re,im', got {row!r}"
+                ) from exc
+            entries[idx] = complex(re, im)
     if not entries:
         return Signal.zero()
     lo = min(entries)
@@ -73,11 +134,15 @@ def read_signal_csv(path) -> Signal:
 
 
 def write_grid_csv(g: GridFunction, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value_re", "value_im"])
-        for x, v in zip(g.x(), g.values):
-            writer.writerow([repr(float(x)), repr(v.real), repr(v.imag)])
+    """One row per grid cell: its left endpoint and value."""
+    data = g.data
+    _write_rows(
+        path,
+        "x,value_re,value_im",
+        g.x().tolist(),
+        data.real.tolist(),
+        data.imag.tolist(),
+    )
 
 
 def read_grid_csv(path, j_level: int) -> GridFunction:

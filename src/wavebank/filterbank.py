@@ -130,6 +130,25 @@ def _root_values(bank: FilterBank, grid_size: int) -> np.ndarray:
     return vals.reshape(len(bank.filters), n, grid_size)
 
 
+def _polyphase_span(bank: FilterBank) -> int:
+    """span of polyphase_from_filters(bank), read off the filter degrees:
+    coefficient d of a filter lands in degree d // N of the matrix."""
+    n = bank.scale_n
+    live = [f for f in bank.filters if not f.is_zero]
+    if not live:
+        return 0
+    return max(f.max_deg // n for f in live) - min(f.min_deg // n for f in live)
+
+
+def _require_grid(grid_size: int, primal: FilterBank, dual: FilterBank) -> None:
+    """The Gram residual A*(z) B(z) - I of polyphase matrices A and B is a
+    Laurent polynomial of span at most span(A) + span(B); a grid of fewer
+    points can alias it to zero and pass a bank that fails."""
+    required = _polyphase_span(primal) + _polyphase_span(dual) + 1
+    if grid_size < required:
+        raise ValueError(f"grid_size {grid_size} < required {required}")
+
+
 def check_qmf(
     bank: FilterBank, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> QmfReport:
@@ -138,7 +157,11 @@ def check_qmf(
     The residual is the max over the grid and over filter pairs (j, k) of
     |(1/N) * sum_{w^N=z} conj(m_j(w)) m_k(w) - delta_jk|; lowpass_ok records
     whether |m_0(1) - sqrt(N)| <= tol.  Failures are reported, not raised.
+    Requires grid_size >= 2*span(A) + 1 for the polyphase matrix A, the
+    bound of `is_unitary_on_torus`, so that a passing residual certifies the
+    conditions everywhere on the torus.
     """
+    _require_grid(grid_size, bank, bank)
     n = bank.scale_n
     roots = _root_values(bank, grid_size)
     gram = np.einsum("ikg,jkg->ijg", np.conj(roots), roots) / n
@@ -251,7 +274,12 @@ def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair
 
 
 def biorthogonality_residual(pair: BiorthPair, grid_size: int = DEFAULT_GRID) -> float:
-    """Max deviation of (1/N) sum_{w^N=z} conj(m_i(w)) mdual_j(w) from delta_ij."""
+    """Max deviation of (1/N) sum_{w^N=z} conj(m_i(w)) mdual_j(w) from delta_ij.
+
+    Requires grid_size >= span(A) + span(B) + 1 for the primal and dual
+    polyphase matrices A and B (2*span(A) + 1 when they are alike).
+    """
+    _require_grid(grid_size, pair.primal, pair.dual)
     n = pair.primal.scale_n
     prim = _root_values(pair.primal, grid_size)
     dual = _root_values(pair.dual, grid_size)

@@ -40,6 +40,18 @@ def torus_grid(grid_size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
 
 
+def frozen_vector(values) -> np.ndarray:
+    """A new read-only 1-D complex array of `values`, an array or any
+    iterable of numbers (generators included)."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    arr = np.array(values, dtype=complex)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence of numbers, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
 def _trim(min_deg: int, coeffs: np.ndarray) -> tuple[int, tuple]:
     lo = 0
     hi = len(coeffs)

@@ -29,57 +29,70 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .filterbank import FilterBank
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, frozen_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
-    """Finite complex sequence; samples[i] sits at integer index offset + i.
+    """Finite complex sequence; data[i] sits at integer index offset + i.
 
+    The samples are one read-only complex ndarray, `data`, which operations
+    slice and share without copying; `samples` is its tuple-of-complex view.
     Canonical form trims leading and trailing exact zeros (the all-zero
-    signal has an empty sample tuple and offset 0).
+    signal has an empty array and offset 0).  Build signals with
+    `from_samples`, which copies, trims and freezes its input.  Equality and
+    hashing compare the offset and the sample values.
     """
 
     offset: int
-    samples: tuple
+    data: np.ndarray
 
     @staticmethod
     def from_samples(offset: int, samples: Iterable[complex]) -> "Signal":
-        arr = [complex(s) for s in samples]
-        lo = 0
-        hi = len(arr)
-        while lo < hi and arr[lo] == 0:
-            lo += 1
-        while hi > lo and arr[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            return Signal(0, ())
-        return Signal(offset + lo, tuple(arr[lo:hi]))
+        arr = frozen_vector(samples)
+        nonzero = np.flatnonzero(arr)
+        if not len(nonzero):
+            return Signal.zero()
+        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+        return Signal(offset + lo, arr[lo:hi])
 
     @staticmethod
     def zero() -> "Signal":
-        return Signal(0, ())
+        return Signal(0, frozen_vector(()))
 
     @staticmethod
     def impulse(index: int = 0) -> "Signal":
-        return Signal(index, (1.0 + 0.0j,))
+        return Signal(index, frozen_vector((1.0,)))
+
+    @property
+    def samples(self) -> tuple:
+        return tuple(self.data.tolist())
 
     @property
     def is_zero(self) -> bool:
-        return not self.samples
+        return not len(self.data)
 
     @property
     def end(self) -> int:
         """Index one past the last stored sample."""
-        return self.offset + len(self.samples)
+        return self.offset + len(self.data)
 
     def sample_array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=complex)
+        return self.data
+
+    def __eq__(self, other):
+        if not isinstance(other, Signal):
+            return NotImplemented
+        return self.offset == other.offset and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.offset, (self.data + 0.0).tobytes()))
 
     def at(self, index: int) -> complex:
         if self.is_zero or index < self.offset or index >= self.end:
             return 0.0 + 0.0j
-        return self.samples[index - self.offset]
+        return complex(self.data[index - self.offset])
 
     def energy(self) -> float:
         if self.is_zero:
@@ -97,8 +110,8 @@ class Signal:
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
         out = np.zeros(hi - lo, dtype=complex)
-        out[self.offset - lo : self.end - lo] += self.samples
-        out[other.offset - lo : other.end - lo] += other.samples
+        out[self.offset - lo : self.end - lo] += self.data
+        out[other.offset - lo : other.end - lo] += other.data
         return Signal.from_samples(lo, out)
 
     def __sub__(self, other: "Signal") -> "Signal":
@@ -144,8 +157,8 @@ def upsample(c: Signal, n: int) -> Signal:
         raise ValueError("sampling factor must be >= 2")
     if c.is_zero:
         return c
-    out = np.zeros(n * (len(c.samples) - 1) + 1, dtype=complex)
-    out[::n] = c.samples
+    out = np.zeros(n * (len(c.data) - 1) + 1, dtype=complex)
+    out[::n] = c.data
     return Signal.from_samples(n * c.offset, out)
 
 

@@ -53,6 +53,25 @@ class TestCascadeStep:
         assert cascade_step(haar(), z).is_trivial()
 
 
+class TestGridFunctionStorage:
+    def test_stored_array_is_read_only(self):
+        g = GridFunction.from_values(3, -2, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            g.value_array()[0] = 5.0
+        with pytest.raises(ValueError):
+            g.translate(1).value_array()[0] = 5.0
+
+    def test_equal_along_different_paths(self):
+        a = GridFunction.from_values(2, 4, [0.5, 1.0, 0.0])
+        b = GridFunction.from_values(2, 0, np.array([1.0, 2.0, 0.0])).scale(0.5).translate(1)
+        c = GridFunction.from_values(2, 4, (v for v in (0.5, 1.0, -0.0)))
+        for other in (b, c):
+            assert a == other and hash(a) == hash(other)
+        assert a.values == (0.5, 1.0, 0.0) and a.support_hi == 6
+        assert a != GridFunction.from_values(3, 4, [0.5, 1.0, 0.0])
+        assert a != a.translate(1)
+
+
 class TestScalingFunction:
     def test_haar_converges_immediately(self):
         result = scaling_function(haar(), j_level=8, iters=5)

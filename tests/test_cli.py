@@ -78,6 +78,15 @@ class TestDesignVerify:
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
 
+    def test_verify_aliasing_bank_is_usage_error(self, tmp_path, capsys):
+        m0 = LaurentPoly.from_coeffs(0, [0.5] + [0.0] * 2047 + [0.5])
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(FilterBank(2, (m0, m0.shift(1))).to_json()))
+        assert main(["verify", str(path)]) == 2
+        assert "required 2049" in capsys.readouterr().err
+        assert main(["verify", str(path), "--grid", "4096"]) == 1
+
+
 class TestCascadeCommand:
     def test_writes_csv_and_svg(self, tmp_path, d4_file):
         out = tmp_path / "phi.csv"
@@ -203,6 +212,20 @@ class TestLiftCommand:
         path = tmp_path / "mat.json"
         path.write_text(json.dumps(A.to_json()))
         assert main(["lift", str(path), "-o", str(tmp_path / "steps.json")]) == 2
+
+
+    def test_factorization_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        from wavebank import cli
+        from wavebank.design import FactorizationError
+
+        def stall(A):
+            raise FactorizationError("degree reduction stalled", A)
+
+        monkeypatch.setattr(cli, "lifting_factorize", stall)
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps(MatLaurentPoly.from_constant(np.eye(2)).to_json()))
+        assert main(["lift", str(path), "-o", str(tmp_path / "steps.json")]) == 2
+        assert "error: degree reduction stalled" in capsys.readouterr().err
 
 
 class TestSignalCsv:

@@ -128,6 +128,26 @@ class TestQmf:
             assert qmf.passed == unit.passed
 
 
+    def test_aliasing_bank_needs_a_longer_grid(self):
+        # m0 = (1 + z^2048)/2, m1 = z m0: not a QMF, but on 1024 points the
+        # residual aliases to zero; the span guard refuses that grid
+        m0 = LaurentPoly.from_coeffs(0, [0.5] + [0.0] * 2047 + [0.5])
+        bank = FilterBank(2, (m0, m0.shift(1)))
+        with pytest.raises(ValueError, match="required 2049"):
+            check_qmf(bank)
+        with pytest.raises(ValueError, match="required 2049"):
+            check_qmf(bank, 2048)
+        report = check_qmf(bank, 2049)
+        assert not report.passed and report.max_residual > 0.5
+
+    def test_biorthogonality_residual_needs_a_longer_grid(self):
+        pair = dual_filters(polyphase_from_filters(daubechies4()))
+        span = polyphase_from_filters(daubechies4()).span
+        with pytest.raises(ValueError, match="grid_size"):
+            biorthogonality_residual(pair, 2 * span)
+        assert biorthogonality_residual(pair, 2 * span + 1) <= 1e-12
+
+
 class TestDualFilters:
     def test_unitary_matrix_gives_self_dual(self):
         A = polyphase_from_filters(daubechies4())

@@ -63,6 +63,50 @@ class TestSampling:
             assert lhs == rhs
 
 
+class TestSignalStorage:
+    def test_stored_array_is_read_only(self):
+        c = Signal.from_samples(2, np.array([1.0, 2.0 - 1j, 3.0]))
+        with pytest.raises(ValueError):
+            c.sample_array()[0] = 5.0
+        with pytest.raises(ValueError):
+            downsample(c, 2).sample_array()[0] = 5.0
+
+    def test_input_array_is_copied(self):
+        src = np.array([1.0, 2.0, 3.0], dtype=complex)
+        c = Signal.from_samples(0, src)
+        src[0] = 9.0
+        assert c.samples == (1.0, 2.0, 3.0)
+
+    def test_equal_along_different_paths(self):
+        a = Signal.from_samples(0, [0.0, 1.0, 0.0, 3.0, 0.0])
+        b = Signal.from_samples(1, [1.0, 0.0, 3.0]).scale(2.0).scale(0.5)
+        c = downsample(upsample(b, 3), 3)
+        d = Signal.impulse(1) + Signal.from_samples(2, [-0.0, 3.0]).scale(-1.0).scale(-1.0)
+        for other in (b, c, d):
+            assert a == other and hash(a) == hash(other)
+        assert len({a, b, c, d}) == 1
+        assert a != Signal.from_samples(0, [1.0, 0.0, 3.0])
+        assert Signal.from_samples(0, [0.0, 0.0]) == Signal.zero()
+
+    def test_signed_zero_samples_hash_alike(self):
+        a = Signal.from_samples(0, [1.0, complex(0.0, -0.0), 1.0])
+        b = Signal.from_samples(0, [1.0, 0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+
+    def test_accepts_generators_lists_and_arrays(self):
+        want = Signal.from_samples(-2, [1.0, 2.0j, 3.0])
+        assert Signal.from_samples(-2, (v for v in [1.0, 2.0j, 3.0])) == want
+        assert Signal.from_samples(-2, np.array([1.0, 2.0j, 3.0])) == want
+        assert Signal.from_samples(-2, (1, 2j, 3)) == want
+        assert Signal.from_samples(-2, iter([0, 1.0, 2.0j, 3.0, 0])).offset == -1
+
+    def test_trim_is_exact_zeros_only(self):
+        c = Signal.from_samples(0, [0.0, 1e-300, 1.0, 0.0])
+        assert c.offset == 1 and c.samples == (1e-300, 1.0)
+        nan = Signal.from_samples(0, [np.nan, 0.0])
+        assert nan.offset == 0 and len(nan.samples) == 1
+
+
 class TestAnalyzeSynthesize:
     def test_haar_two_point_split(self):
         c = Signal.from_samples(0, [3.0, 1.0])
