@@ -94,6 +94,13 @@ class FilterBank:
 
     @staticmethod
     def from_json(obj: dict) -> "FilterBank":
+        """Read a bank file; "convention" may be absent or "sqrtN", the only
+        normalization read (ValueError for any other value)."""
+        convention = obj.get("convention", "sqrtN")
+        if convention != "sqrtN":
+            raise ValueError(
+                f'unsupported "convention" {convention!r}; only "sqrtN" is read'
+            )
         n = int(obj["N"])
         filters = tuple(LaurentPoly.from_json(f) for f in obj["filters"])
         return FilterBank(n, filters)

@@ -13,6 +13,13 @@ orthonormal exactly when PER(|phihat|^2)(t) = sum_n |phihat(t + 2*pi*n)|^2
 is identically 1, and equivalently (generically) when the truncated
 transfer matrix of W = |m_0|^2 has peripheral spectrum {1} with a simple
 eigenvalue 1.
+
+The periodization is the truncated sum over |n| <= n_max of the K-term
+product |phihat(s)|^2 = prod_{k=1..K} W(s / N**k) / N, s = t + 2*pi*n.  W is
+a real trigonometric polynomial, W(theta)/N = sum_j a_j cos(j theta) +
+b_j sin(j theta), so each factor is a Chebyshev series in cos(theta) summed
+by Clenshaw's recurrence, all in float64.  The (t, n) pairs run through
+fixed-size blocks, so memory does not grow with n_max.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cascade import fourier_infinite_product
 from .defaults import K_TERMS, N_MAX, PF_TOL
 from .filterbank import FilterBank
 from .laurent import DEFAULT_GRID, LaurentPoly
@@ -112,12 +118,13 @@ def subdivision_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
 
 def transfer_matrix(spec: TransferSpec) -> np.ndarray:
     """Matrix of R_W on modes -band_m..band_m: entry (n, k) = c_{N n - k}."""
-    m = spec.band_m
-    modes = np.arange(-m, m + 1)
-    out = np.zeros((len(modes), len(modes)), dtype=complex)
-    for i, row_mode in enumerate(modes):
-        for j, col_mode in enumerate(modes):
-            out[i, j] = spec.w.coeff(spec.scale_n * row_mode - col_mode)
+    modes = np.arange(-spec.band_m, spec.band_m + 1)
+    out = np.zeros((modes.size, modes.size), dtype=complex)
+    if spec.w.is_zero:
+        return out
+    pos = spec.scale_n * modes[:, None] - modes[None, :] - spec.w.min_deg
+    inside = (pos >= 0) & (pos < len(spec.w.coeffs))
+    out[inside] = spec.w.coeff_array()[pos[inside]]
     return out
 
 
@@ -171,19 +178,124 @@ def spectrum(spec: TransferSpec, tol: float = PF_TOL) -> SpectrumReport:
     )
 
 
+# Most (t, n) pairs per block: the eight float64 block buffers take 1 MB.
+_BLOCK = 1 << 14
+
+
+def _weight_series(bank: FilterBank) -> tuple:
+    """Coefficients of W(theta)/N for W = |m_0|^2, as (cos_c, sin_c).
+
+    W(theta)/N = sum_{j=0..D} cos_c[j] T_j(cos theta)
+               + sin(theta) * sum_{j=0..D-1} sin_c[j] U_j(cos theta),
+    that is cos_c[j] = 2 Re w_j / N (w_0 / N for j = 0) and
+    sin_c[j - 1] = 2 Im w_j / N, since cos(j theta) = T_j(cos theta) and
+    sin(j theta) = sin(theta) U_{j-1}(cos theta).  sin_c is None when W is
+    even: W = m_0 m_0* is even when m_0 is real or is a spectral factor of an
+    even weight, and then Im w_j is only the rounding error of the product,
+    which stays below taps * eps * w_0; such a sine series is not evaluated.
+    """
+    w = weight_from_lowpass(bank.lowpass)
+    if w.is_zero:
+        return np.zeros(1), None
+    d = max(w.max_deg, -w.min_deg)
+    half = np.array([w.coeff(j) for j in range(d + 1)]) / bank.scale_n
+    cos_c = 2 * half.real
+    cos_c[0] = half[0].real
+    sin_c = 2 * half.imag[1:]
+    noise = 2 * len(bank.lowpass.coeffs) * np.finfo(float).eps * cos_c[0]
+    if np.max(np.abs(sin_c), initial=0.0) <= noise:
+        return cos_c, None
+    return cos_c, sin_c
+
+
+def _clenshaw(coeffs: np.ndarray, x2: np.ndarray, y0, y1, scratch) -> tuple:
+    """Run y_j = coeffs[j] + x2 * y_{j+1} - y_{j+2} from the last coefficient
+    down to j = 0 (y = 0 beyond it) in the three buffers y0, y1, scratch, and
+    return the buffers holding y_0 and y_1.
+
+    With x2 = 2x: sum_j coeffs[j] U_j(x) = y_0 and
+    sum_j coeffs[j] T_j(x) = y_0 - x y_1.
+    """
+    y0.fill(coeffs[-1])
+    y1.fill(0.0)
+    for c in coeffs[-2::-1]:
+        np.multiply(x2, y0, out=scratch)
+        np.subtract(scratch, y1, out=scratch)
+        if c:
+            scratch += c
+        y0, y1, scratch = scratch, y0, y1
+    return y0, y1
+
+
+def _weight_product(theta, cos_c, sin_c, scale_n: int, k_terms: int, bufs):
+    """prod_{k=1..K} W(theta / N**k) / N into bufs[0], in place.
+
+    theta is divided by N once per factor, as the complex product in
+    `cascade.fourier_infinite_product` does, and is overwritten.
+    """
+    prod, x, x2, y0, y1, scratch, s = bufs
+    prod.fill(1.0)
+    for _ in range(k_terms):
+        np.divide(theta, scale_n, out=theta)
+        np.cos(theta, out=x)
+        np.add(x, x, out=x2)
+        b0, b1 = _clenshaw(cos_c, x2, y0, y1, scratch)
+        np.multiply(x, b1, out=x)
+        np.subtract(b0, x, out=x)
+        if sin_c is not None:
+            u0, _ = _clenshaw(sin_c, x2, y0, y1, scratch)
+            np.sin(theta, out=s)
+            np.multiply(s, u0, out=s)
+            np.add(x, s, out=x)
+        np.multiply(prod, x, out=prod)
+    return prod
+
+
 def per_samples(
     bank: FilterBank,
     t: np.ndarray,
     n_max: int = N_MAX,
     k_terms: int = K_TERMS,
 ) -> np.ndarray:
-    """Truncated periodization sum_{|n| <= n_max} |phihat(t + 2*pi*n)|^2."""
+    """Truncated periodization sum_{|n| <= n_max} |phihat(t + 2*pi*n)|^2.
+
+    |phihat|^2 is the K-term product prod_{k=1..K} W(s / N**k) / N of the
+    real weight W = |m_0|^2, the squared modulus of
+    `cascade.fourier_infinite_product`; each factor is a Clenshaw sum in
+    cos(s / N**k).  The t.size * (2 n_max + 1) pairs (t, n) are taken in
+    blocks of at most 2**14 whose sums accumulate per t, so memory stays
+    bounded.
+    Returns an array of t's shape.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if k_terms < 1:
+        raise ValueError("k_terms must be >= 1")
     t = np.asarray(t, dtype=float)
-    shifts = 2 * np.pi * np.arange(-n_max, n_max + 1)
-    args = t[..., None] + shifts
-    vals = fourier_infinite_product(bank, args.ravel(), k_terms=k_terms)
-    vals = np.abs(vals.reshape(args.shape)) ** 2
-    return np.sum(vals, axis=-1)
+    flat_t = t.ravel()
+    out = np.zeros(flat_t.size)
+    cos_c, sin_c = _weight_series(bank)
+    # A block is `rows` whole rows of the (t, n) table, or one of `chunks`
+    # equal pieces of a row longer than _BLOCK, so each row sum is a numpy
+    # (pairwise) sum, as accurate as summing the whole row at once.
+    width = 2 * n_max + 1
+    chunks = -(-width // _BLOCK)
+    cols = -(-width // chunks)
+    rows = max(1, _BLOCK // width)
+    bufs = np.empty((8, min(rows, flat_t.size) * cols))
+    for c0 in range(-n_max, n_max + 1, cols):
+        shifts = 2 * np.pi * np.arange(c0, min(c0 + cols, n_max + 1))
+        for r0 in range(0, flat_t.size, rows):
+            t_rows = flat_t[r0 : r0 + rows, None]
+            shape = (t_rows.shape[0], shifts.size)
+            block = bufs[:, : shape[0] * shape[1]].reshape(8, *shape)
+            theta = block[0]
+            np.add(t_rows, shifts, out=theta)
+            prod = _weight_product(
+                theta, cos_c, sin_c, bank.scale_n, k_terms, block[1:]
+            )
+            out[r0 : r0 + shape[0]] += prod.sum(axis=1)
+    return out.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -212,8 +324,11 @@ def per_check(
     """Max deviation of the truncated periodization from 1 over a t-grid.
 
     The reported tail estimate is the O(1/n_max) bound coming from the
-    1/|t| decay of the transform of an FIR low-pass filter.
+    1/|t| decay of the transform of an FIR low-pass filter.  Raises
+    ValueError for t_points < 1 or n_max < 1.
     """
+    if t_points < 1:
+        raise ValueError(f"t_points must be >= 1, got {t_points}")
     t = 2 * np.pi * np.arange(t_points) / t_points
     per = per_samples(bank, t, n_max=n_max, k_terms=k_terms)
     dev = float(np.max(np.abs(per - 1.0)))

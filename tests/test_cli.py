@@ -86,6 +86,12 @@ class TestDesignVerify:
         assert "required 2049" in capsys.readouterr().err
         assert main(["verify", str(path), "--grid", "4096"]) == 1
 
+    def test_bank_in_h_convention_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(dict(daubechies4().to_json(), convention="h")))
+        assert main(["verify", str(path)]) == 2
+        assert 'input error' in capsys.readouterr().err
+
 
 class TestCascadeCommand:
     def test_writes_csv_and_svg(self, tmp_path, d4_file):
@@ -181,6 +187,35 @@ class TestTransferCommand:
         out = tmp_path / "spec.json"
         assert main(["transfer", str(path), "-o", str(out)]) == 1
         assert json.loads(out.read_text())["pf_holds"] is False
+
+    def test_d4_periodization_passes(self, tmp_path, d4_file):
+        out = tmp_path / "spec.json"
+        argv = ["transfer", str(d4_file), "-o", str(out), "--per", "--n-max", "200"]
+        assert main(argv) == 0
+        per = json.loads(out.read_text())["per"]
+        assert set(per) == {"max_dev_from_1", "is_constant_1", "tail_estimate", "n_max"}
+        assert per["is_constant_1"] is True
+        assert per["n_max"] == 200
+
+    def test_stretched_haar_periodization_fails(self, tmp_path, capsys):
+        bank = FilterBank.from_lowpass(
+            LaurentPoly.from_coeffs(0, [2**-0.5, 0, 0, 2**-0.5])
+        )
+        path = tmp_path / "stretched.json"
+        path.write_text(json.dumps(bank.to_json()))
+        out = tmp_path / "spec.json"
+        argv = ["transfer", str(path), "-o", str(out), "--per", "--n-max", "200"]
+        assert main(argv) == 1
+        assert "periodization deviates from 1 by" in capsys.readouterr().out
+        assert json.loads(out.read_text())["per"]["is_constant_1"] is False
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, tmp_path, d4_file, capsys, n_max):
+        out = tmp_path / "spec.json"
+        argv = ["transfer", str(d4_file), "-o", str(out), "--per", "--n-max", n_max]
+        assert main(argv) == 2
+        assert "error: n_max must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLiftCommand:

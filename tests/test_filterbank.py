@@ -215,6 +215,17 @@ class TestSerialization:
         for got, want in zip(back.filters, bank.filters):
             assert got.min_deg == want.min_deg and got.coeffs == want.coeffs
 
+    def test_convention_absent_or_sqrtn_is_read(self):
+        obj = daubechies4().to_json()
+        assert FilterBank.from_json(obj) == daubechies4()
+        del obj["convention"]
+        assert FilterBank.from_json(obj) == daubechies4()
+
+    def test_other_convention_rejected(self):
+        obj = dict(daubechies4().to_json(), convention="h")
+        with pytest.raises(ValueError, match='"convention"'):
+            FilterBank.from_json(obj)
+
     def test_completion_matches_haar(self):
         bank = FilterBank.from_lowpass(haar().lowpass)
         assert bank.filters[1].approx_eq(haar().filters[1], 1e-15)

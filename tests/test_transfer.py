@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import haar, random_poly, stretched_haar
-from wavebank.design import daubechies4
-from wavebank.filterbank import FilterBank
-from wavebank.laurent import LaurentPoly
+from wavebank.cascade import fourier_infinite_product
+from wavebank.design import daubechies4, dft_matrix, general_factor
+from wavebank.filterbank import FilterBank, filters_from_polyphase
+from wavebank.laurent import LaurentPoly, MatLaurentPoly
 from wavebank.transfer import (
     TransferSpec,
+    _weight_series,
     fixed_point_check,
     min_band,
     per_check,
@@ -19,6 +21,42 @@ from wavebank.transfer import (
 )
 
 HAAR_W = weight_from_lowpass(haar().lowpass)  # (2 + z + 1/z)/2
+
+
+def three_band_bank():
+    """N = 3 bank: DFT prefactor times one degree-one projection factor."""
+    v = np.array([1.0, 0.5 - 0.7j, -0.3 + 0.2j])
+    proj = np.outer(v, np.conj(v)) / np.vdot(v, v).real
+    A = MatLaurentPoly.from_constant(dft_matrix(3)) * general_factor(proj)
+    return filters_from_polyphase(A)
+
+
+def modulated_d4(alpha=0.7):
+    """D4 low-pass times exp(1j*alpha*k): W picks up a sine part."""
+    taps = daubechies4().coefficients(0) * np.exp(1j * alpha * np.arange(4))
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+
+
+def complex_six_tap():
+    """Six-tap spectral factor of the three-moment Daubechies weight with
+    complex taps: of the complex root pair inside the circle, one root is
+    kept and the other reflected to 1/conj.  W is real and even."""
+    P = np.polynomial.polynomial
+    zy = np.array([-1.0, 2.0, -1.0]) / 4  # z * (2 - z - 1/z) / 4
+    q = P.polyadd(P.polyadd([0.0, 0.0, 1.0], 3 * P.polymul([0.0, 1.0], zy)),
+                  6 * P.polymul(zy, zy))
+    r = next(x for x in P.polyroots(q) if abs(x) < 1 and x.imag > 0)
+    q = P.polyfromroots([r, 1 / r])
+    taps = P.polymul([0.125, 0.375, 0.375, 0.125], q / P.polyval(1.0, q))
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps * 2**0.5))
+
+
+def per_by_complex_product(bank, t, n_max, k_terms):
+    """Oracle: the periodization from |phihat|^2 of the complex product."""
+    t = np.asarray(t, dtype=float)
+    args = t[..., None] + 2 * np.pi * np.arange(-n_max, n_max + 1)
+    vals = fourier_infinite_product(bank, args.ravel(), k_terms)
+    return np.sum(np.abs(vals.reshape(args.shape)) ** 2, axis=-1)
 
 
 def transfer_by_root_sums(spec, f, grid_size=128):
@@ -153,6 +191,18 @@ class TestMatrix:
                 col = np.array([img.coeff(n) for n in range(-m, m + 1)])
                 assert np.max(np.abs(mat[:, j] - col)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "bank, extra",
+        [(haar(), 0), (daubechies4(), 2), (stretched_haar(), 1), (three_band_bank(), 3)],
+    )
+    def test_matches_entrywise_definition(self, bank, extra):
+        w = weight_from_lowpass(bank.lowpass)
+        spec = TransferSpec(w, bank.scale_n, min_band(w, bank.scale_n) + extra)
+        mat = transfer_matrix(spec)
+        modes = range(-spec.band_m, spec.band_m + 1)
+        want = np.array([[w.coeff(bank.scale_n * n - k) for k in modes] for n in modes])
+        assert np.array_equal(mat, want)
+
     def test_reflection_symmetry(self):
         # real symmetric weights make the truncated matrix itself invariant
         # under index reflection (n, k) -> (-n, -k), hence also its spectrum
@@ -213,6 +263,59 @@ class TestPeriodization:
         report = per_check(stretched_haar(), t_points=16, n_max=2000)
         assert not report.is_constant_1
         assert report.max_dev_from_1 >= 0.5
+
+    @pytest.mark.parametrize("n_max", [1, 7, 300])
+    @pytest.mark.parametrize("k_terms", [1, 40])
+    @pytest.mark.parametrize(
+        "bank",
+        [haar(), daubechies4(), stretched_haar(), three_band_bank(), modulated_d4(),
+         complex_six_tap()],
+        ids=["haar", "d4", "stretched", "three-band", "modulated-d4", "complex-six-tap"],
+    )
+    def test_matches_complex_product(self, bank, n_max, k_terms):
+        # 40 t-points: with n_max = 300 the 40 rows of 601 pairs take two
+        # blocks (27 rows, then 13)
+        t = np.linspace(-4.0, 9.0, 40).reshape(5, 8)
+        got = per_samples(bank, t, n_max=n_max, k_terms=k_terms)
+        assert got.shape == t.shape
+        want = per_by_complex_product(bank, t, n_max, k_terms)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_row_wider_than_a_block(self):
+        t = np.array([0.3, 2.0])
+        got = per_samples(daubechies4(), t, n_max=9000)
+        want = per_by_complex_product(daubechies4(), t, 9000, 40)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_sine_series_only_for_odd_weights(self):
+        # complex taps whose W is even leave only rounding noise in Im W
+        assert np.any(complex_six_tap().lowpass.coeff_array().imag)
+        for bank in (haar(), daubechies4(), complex_six_tap()):
+            assert _weight_series(bank)[1] is None
+        for bank in (modulated_d4(), three_band_bank()):
+            assert _weight_series(bank)[1] is not None
+
+    def test_scalar_t(self):
+        got = per_samples(daubechies4(), 1.5, n_max=7)
+        assert np.shape(got) == ()
+        assert float(got) == pytest.approx(
+            float(per_by_complex_product(daubechies4(), 1.5, 7, 40)), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            per_samples(haar(), np.zeros(4), n_max=n_max)
+        with pytest.raises(ValueError, match="n_max"):
+            per_check(haar(), t_points=4, n_max=n_max)
+
+    def test_t_points_below_one_rejected(self):
+        with pytest.raises(ValueError, match="t_points"):
+            per_check(haar(), t_points=0)
+
+    def test_k_terms_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k_terms"):
+            per_samples(haar(), np.zeros(4), n_max=5, k_terms=0)
 
     def test_haar_tail_scale(self):
         # truncation tail shrinks like 1/n_max
