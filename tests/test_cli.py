@@ -217,6 +217,17 @@ class TestTransferCommand:
         assert "error: n_max must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_n_max_with_tail_above_tolerance_is_usage_error(self, tmp_path, capsys):
+        # tail estimate 2 / (pi**2 * 5) = 0.041 exceeds the 1e-2 flatness
+        # tolerance, so an orthonormal bank would fail the check
+        path = tmp_path / "haar.json"
+        path.write_text(json.dumps(FilterBank.haar().to_json()))
+        out = tmp_path / "spec.json"
+        argv = ["transfer", str(path), "-o", str(out), "--per", "--n-max", "5"]
+        assert main(argv) == 2
+        assert "n_max must be >= 21" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLiftCommand:
     def test_factorize_and_recompose(self, tmp_path):

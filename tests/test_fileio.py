@@ -14,8 +14,28 @@ from wavebank.fileio import (
     read_signal_csv,
     write_grid_csv,
     write_signal_csv,
+    write_svg_polyline,
 )
 from wavebank.operators import Signal
+
+
+def _reference_polyline_points(xs, ys, width=640, height=320):
+    """The point-at-a-time formatting the bulk SVG writer must match."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    pad = 10.0
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    sx = (width - 2 * pad) / (x1 - x0)
+    sy = (height - 2 * pad) / (y1 - y0)
+    return " ".join(
+        f"{pad + (x - x0) * sx:.2f},{height - pad - (y - y0) * sy:.2f}"
+        for x, y in zip(xs, ys)
+    )
 
 
 def _read_text(tmp_path, text):
@@ -129,3 +149,42 @@ class TestWriteCsv:
         write_signal_csv(sig, path)
         assert path.read_bytes() == _reference_signal_bytes(sig, tmp_path / "r.csv")
         assert read_signal_csv(path) == sig
+
+
+class TestWriteSvgPolyline:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "p.svg"
+        write_svg_polyline([-1.0, 0.0, 3.0], [2.0, -0.5, 0.25], path)
+        assert path.read_bytes() == (
+            b'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="320" '
+            b'viewBox="0 0 640 320">\n'
+            b'<rect x="0" y="0" width="640" height="320" fill="white" '
+            b'stroke="#cccccc"/>\n'
+            b'<polyline points="10.00,10.00 165.00,310.00 630.00,220.00" '
+            b'fill="none" stroke="#1f77b4" stroke-width="1"/>\n'
+            b"</svg>\n"
+        )
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0.0, 0.5, 1.0, 1.5], [0.7, 0.7, 0.7, 0.7]),  # flat ys
+            ([2.5], [-4.0]),  # a single point
+            ([-3.0, -2.2, -1.7, -0.1], [-1e-3, -5.5, -2.25, -0.3]),  # negative
+        ],
+        ids=["flat", "single-point", "negative"],
+    )
+    def test_matches_point_writer(self, tmp_path, xs, ys):
+        path = tmp_path / "p.svg"
+        write_svg_polyline(xs, ys, path)
+        want = _reference_polyline_points(xs, ys)
+        assert f'<polyline points="{want}" ' in path.read_text()
+
+    def test_matches_point_writer_on_a_cascade_sized_plot(self, tmp_path):
+        rng = np.random.default_rng(3)
+        xs = np.sort(rng.uniform(-2.0, 5.0, 4097))
+        ys = np.cumsum(rng.normal(size=4097)) * 1e-3
+        path = tmp_path / "p.svg"
+        write_svg_polyline(xs, ys, path, width=800, height=200)
+        want = _reference_polyline_points(xs, ys, width=800, height=200)
+        assert f'<polyline points="{want}" ' in path.read_text()

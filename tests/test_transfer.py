@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import haar, random_poly, stretched_haar
+from wavebank import transfer
 from wavebank.cascade import fourier_infinite_product
-from wavebank.design import daubechies4, dft_matrix, general_factor
+from wavebank.design import (
+    ProjectionParam,
+    bank_from_projections,
+    daubechies4,
+    dft_matrix,
+    general_factor,
+)
 from wavebank.filterbank import FilterBank, filters_from_polyphase
 from wavebank.laurent import LaurentPoly, MatLaurentPoly
 from wavebank.transfer import (
     TransferSpec,
+    _horner,
+    _tail_plan,
     _weight_series,
     fixed_point_check,
     min_band,
@@ -31,10 +42,35 @@ def three_band_bank():
     return filters_from_polyphase(A)
 
 
+def modulate(bank, alpha):
+    """The bank with its low-pass times exp(1j*alpha*k), as `modulated_d4`
+    for any bank (the other filters are kept)."""
+    m0 = bank.lowpass
+    taps = m0.coeff_array() * np.exp(1j * alpha * np.arange(m0.min_deg, m0.max_deg + 1))
+    return FilterBank(bank.scale_n, (LaurentPoly.from_coeffs(m0.min_deg, taps),)
+                      + bank.filters[1:])
+
+
 def modulated_d4(alpha=0.7):
     """D4 low-pass times exp(1j*alpha*k): W picks up a sine part."""
     taps = daubechies4().coefficients(0) * np.exp(1j * alpha * np.arange(4))
     return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+
+
+def long_alternating_bank():
+    """32-tap low-pass 2, -1, 1, -1, ..., 1, -1 scaled to m_0(1) = sqrt(2): its
+    weight's series coefficients sum in modulus to about 1e3, too much mass
+    for any tail polynomial of degree <= 64 to meet the remainder bound."""
+    taps = (-1.0) ** np.arange(32)
+    taps[0] = 2.0
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps * 2**0.5))
+
+
+def all_direct_per_samples(monkeypatch, bank, t, n_max, k_terms):
+    """per_samples with every factor evaluated pointwise (no tail)."""
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "_tail_plan", lambda *args: (args[-1], None))
+        return per_samples(bank, t, n_max=n_max, k_terms=k_terms)
 
 
 def complex_six_tap():
@@ -295,6 +331,42 @@ class TestPeriodization:
         for bank in (modulated_d4(), three_band_bank()):
             assert _weight_series(bank)[1] is not None
 
+    @pytest.mark.parametrize(
+        "bank", [daubechies4(), modulated_d4(), stretched_haar()],
+        ids=["d4", "modulated-d4", "stretched"],
+    )
+    def test_long_sum_matches_complex_product(self, bank):
+        t = np.array([-2.5, 0.4, 6.0])
+        got = per_samples(bank, t, n_max=10**4)
+        want = per_by_complex_product(bank, t, 10**4, 40)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_tail_never_starts(self, monkeypatch):
+        # every argument of the first 5 factors is beyond rho: no tail at all
+        bank, t = daubechies4(), np.linspace(-3.0, 3.0, 7)
+        cos_c, sin_c = _weight_series(bank)
+        reach = 3.0 + 2 * np.pi * 300
+        assert _tail_plan(cos_c, sin_c, 2, reach, 5) == (5, None)
+        assert _tail_plan(cos_c, sin_c, 2, reach, 40)[0] > 5
+        got = per_samples(bank, t, n_max=300, k_terms=5)
+        want = all_direct_per_samples(monkeypatch, bank, t, 300, 5)
+        assert np.array_equal(got, want)
+
+    def test_unmet_bound_falls_back_to_direct_product(self, monkeypatch):
+        bank, t = long_alternating_bank(), np.array([0.0, 1.0, 2.5])
+        cos_c, sin_c = _weight_series(bank)
+        assert _tail_plan(cos_c, sin_c, 2, 2.5 + 2 * np.pi * 40, 40) == (40, None)
+        got = per_samples(bank, t, n_max=40)
+        assert np.array_equal(got, all_direct_per_samples(monkeypatch, bank, t, 40, 40))
+        want = per_by_complex_product(bank, t, 40, 40)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_nan_t_leaves_the_other_points_exact(self):
+        got = per_samples(daubechies4(), np.array([np.nan, 0.4]), n_max=10**4)
+        assert np.isnan(got[0])
+        want = per_by_complex_product(daubechies4(), 0.4, 10**4, 40)
+        assert abs(got[1] - want) <= 1e-12
+
     def test_scalar_t(self):
         got = per_samples(daubechies4(), 1.5, n_max=7)
         assert np.shape(got) == ()
@@ -309,6 +381,20 @@ class TestPeriodization:
         with pytest.raises(ValueError, match="n_max"):
             per_check(haar(), t_points=4, n_max=n_max)
 
+    @pytest.mark.parametrize(
+        "bank, least",
+        [(haar(), 21),
+         (filters_from_polyphase(MatLaurentPoly.from_constant(dft_matrix(3))), 31)],
+        ids=["haar", "three-band-haar"],
+    )
+    def test_least_admissible_n_max(self, bank, least):
+        # the least n_max with tail estimate N / (pi**2 n_max) <= 1e-2
+        with pytest.raises(ValueError, match=f"n_max must be >= {least}"):
+            per_check(bank, t_points=8, n_max=least - 1)
+        report = per_check(bank, t_points=8, n_max=least)
+        assert report.tail_estimate <= 1e-2
+        assert report.is_constant_1
+
     def test_t_points_below_one_rejected(self):
         with pytest.raises(ValueError, match="t_points"):
             per_check(haar(), t_points=0)
@@ -322,6 +408,72 @@ class TestPeriodization:
         coarse = per_check(haar(), t_points=8, n_max=500).max_dev_from_1
         fine = per_check(haar(), t_points=8, n_max=4000).max_dev_from_1
         assert fine <= coarse / 4
+
+
+class TestTailPolynomial:
+    @pytest.mark.parametrize(
+        "bank, n_max",
+        [(daubechies4(), 10**4), (modulated_d4(), 300), (stretched_haar(), 10**4),
+         (three_band_bank(), 7)],
+        ids=["d4", "modulated-d4", "stretched", "three-band"],
+    )
+    def test_matches_product_of_its_factors(self, bank, n_max):
+        cos_c, sin_c = _weight_series(bank)
+        n = bank.scale_n
+        direct, coeffs = _tail_plan(cos_c, sin_c, n, 2 * np.pi * (n_max + 1), 40)
+        assert 0 < direct < 40 and coeffs is not None
+        rho = transfer._TAIL_OMEGA_RHO * (n - 1) / ((len(cos_c) - 1) * n)
+        theta = np.linspace(-rho, rho, 201)
+        # the 40 - direct factors W(theta / N**i) / N, i = 0, 1, ..., each
+        # summed from its cosine and sine series in long double
+        j = np.arange(len(cos_c))
+        want = np.ones(theta.size, dtype=np.longdouble)
+        for i in range(40 - direct):
+            arg = theta.astype(np.longdouble)[:, None] / np.longdouble(n) ** i * j
+            factor = np.cos(arg) @ cos_c.astype(np.longdouble)
+            if sin_c is not None:
+                factor += np.sin(arg[:, 1:]) @ sin_c.astype(np.longdouble)
+            want *= factor
+        got = _horner(coeffs, theta, np.empty_like(theta))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_even_weight_gives_even_polynomial(self):
+        cos_c, sin_c = _weight_series(daubechies4())
+        _, coeffs = _tail_plan(cos_c, sin_c, 2, 2 * np.pi * 10**4, 40)
+        assert not coeffs[1::2].any()
+        cos_c, sin_c = _weight_series(modulated_d4())
+        _, coeffs = _tail_plan(cos_c, sin_c, 2, 2 * np.pi * 10**4, 40)
+        assert coeffs[1::2].any()
+
+
+@st.composite
+def projection_banks(draw):
+    """Two-band projection banks with 0..4 factors, the low-pass optionally
+    modulated by exp(1j*alpha*k)."""
+    params = draw(st.lists(
+        st.builds(
+            ProjectionParam,
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 2 * np.pi, exclude_max=True),
+        ),
+        max_size=4,
+    ))
+    bank = bank_from_projections(params)
+    alpha = draw(st.one_of(st.none(), st.floats(-np.pi, np.pi)))
+    return bank if alpha is None else modulate(bank, alpha)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    bank=projection_banks(),
+    t=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    n_max=st.integers(1, 60),
+    k_terms=st.integers(1, 40),
+)
+def test_per_samples_matches_complex_product(bank, t, n_max, k_terms):
+    got = per_samples(bank, np.array(t), n_max=n_max, k_terms=k_terms)
+    want = per_by_complex_product(bank, np.array(t), n_max, k_terms)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestFixedPoint:
