@@ -59,6 +59,12 @@ from .transfer import TransferSpec, per_check, spectrum
 OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 
+def _require_range(option: str, value: int, lo: int, hi: int) -> None:
+    """Reject an option outside lo..hi before anything is sized by it."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{option} must be in {lo}..{hi}, got {value}")
+
+
 def _load_bank(path) -> FilterBank:
     obj = load_json(path)
     try:
@@ -68,6 +74,7 @@ def _load_bank(path) -> FilterBank:
 
 
 def _cmd_design(args) -> int:
+    _require_range("--grid", args.grid, 1, defaults.MAX_GRID)
     if args.daubechies4:
         bank = daubechies4()
     elif args.six_tap is not None:
@@ -95,6 +102,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_range("--grid", args.grid, 1, defaults.MAX_GRID)
+    _require_range("--random-banks", args.random_banks, 0, defaults.MAX_BANKS)
     failures = 0
     if args.random_banks:
         rng = np.random.default_rng(args.seed)
@@ -136,6 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    _require_range("--j", args.j, 0, defaults.MAX_J)
     bank = _load_bank(args.bank)
     result = scaling_function(bank, args.j, args.iters)
     write_grid_csv(result.phi, args.output)
@@ -163,6 +173,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_pyramid(args) -> int:
+    _require_range("--levels", args.levels, 1, defaults.MAX_LEVELS)
     bank = _load_bank(args.bank)
     signal = read_signal_csv(args.signal)
     dec = pyramid_decompose(signal, bank, args.levels)
@@ -181,7 +192,13 @@ def _cmd_pyramid(args) -> int:
 
 
 def _cmd_packets(args) -> int:
+    _require_range("--depth", args.depth, 1, defaults.MAX_DEPTH)
     bank = _load_bank(args.bank)
+    if not args.partition and bank.scale_n**args.depth > 2**defaults.MAX_DEPTH:
+        raise ValueError(
+            f"--depth {args.depth} makes {bank.scale_n}**{args.depth} leaves, "
+            f"more than {2**defaults.MAX_DEPTH}"
+        )
     signal = read_signal_csv(args.signal)
     if args.partition:
         obj = load_json(args.partition)

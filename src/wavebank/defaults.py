@@ -8,10 +8,20 @@ TOL           1e-9     verification tolerance on those grids
 J_LEVEL       10       dyadic grid level for cascade iterations
 ITERS         12       cascade iteration budget
 CASCADE_TOL   1e-6     successive-difference threshold for convergence
-N_MAX         10**4    periodization truncation
+N_MAX         10**4    periodization fallback truncation (the sum is
+                       only taken when the exact periodization from the
+                       transfer fixed space cannot be certified)
 K_TERMS       40       factors kept in the infinite-product transform
 PF_TOL        1e-7     peripheral-spectrum tolerance
+MAX_J         16       largest cascade --j
+MAX_DEPTH     12       largest packets --depth (and at most 2**12 leaves)
+MAX_LEVELS    32       largest pyramid --levels
+MAX_GRID      2**16    largest --grid (design, verify)
+MAX_BANKS     10**4    largest verify --random-banks
 ============  =======  ==================================================
+
+The MAX_* rows bound CLI options before anything is allocated: a value
+outside 0..MAX (1..MAX for --depth, --levels and --grid) exits 2.
 """
 
 GRID_SIZE = 1024
@@ -22,3 +32,8 @@ CASCADE_TOL = 1e-6
 N_MAX = 10**4
 K_TERMS = 40
 PF_TOL = 1e-7
+MAX_J = 16
+MAX_DEPTH = 12
+MAX_LEVELS = 32
+MAX_GRID = 2**16
+MAX_BANKS = 10**4

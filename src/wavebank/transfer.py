@@ -14,7 +14,17 @@ is identically 1, and equivalently (generically) when the truncated
 transfer matrix of W = |m_0|^2 has peripheral spectrum {1} with a simple
 eigenvalue 1.
 
-The periodization is the truncated sum over |n| <= n_max of the K-term
+PER is a trigonometric polynomial, PER(t) = sum_k a_k exp(-i k t), whose
+coefficients (the autocorrelation of the scaling function) lie in the
+invariant window and form a fixed vector of R_W.  For a QMF bank with
+|m_0(1)|^2 = N, `per_exact` reads a off the fixed space of the window
+matrix: a simple eigenvalue 1 gives a = delta_0 (Lawton), and every further
+fixed vector comes with a cycle of t -> N t on which W = N and PER = 0
+(Cohen), which pins a down.  `per_check` uses that exact polynomial, and
+falls back to the truncated sum below when a precondition fails or the
+fixed space or the cycles cannot be certified.
+
+The fallback periodization is the truncated sum over |n| <= n_max of the K-term
 product |phihat(s)|^2 = prod_{k=1..K} W(s / N**k) / N, s = t + 2*pi*n.  W is
 a real trigonometric polynomial, W(theta)/N = sum_j a_j cos(j theta) +
 b_j sin(j theta), so each factor is a Chebyshev series in cos(theta) summed
@@ -38,8 +48,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .defaults import K_TERMS, N_MAX, PF_TOL
-from .filterbank import FilterBank
-from .laurent import DEFAULT_GRID, LaurentPoly
+from .filterbank import FilterBank, _polyphase_span, check_qmf
+from .laurent import DEFAULT_GRID, DEFAULT_TOL, LaurentPoly
 
 
 def weight_from_lowpass(m0: LaurentPoly) -> LaurentPoly:
@@ -411,12 +421,166 @@ def per_samples(
     return out.reshape(t.shape)
 
 
+# Singular values of T - I up to _NULL_TOL * |T - I| span the fixed space;
+# the next one must exceed _GAP_TOL * |T - I|, or the dimension is unclear.
+_NULL_TOL = 1e-10
+_GAP_TOL = 1e-6
+# Roots of z**D (N - W) within _ROOT_TOL of the unit circle are candidate
+# zeros, and N t is matched to a candidate within N * _ROOT_TOL: double roots
+# come out of np.roots with errors near 1e-8.  Candidates only propose
+# cycles; the check of W = N at the snapped points decides.
+_ROOT_TOL = 1e-5
+# A snapped cycle point must have |W - N| <= _CYCLE_TOL * sum_k |w_k|.
+_CYCLE_TOL = 1e-9
+# The constraint rows must have singular values >= _RANK_TOL times the
+# largest, and the solution must meet them to _RANK_TOL.
+_RANK_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class ExactPer:
+    """The periodization PER(t) = sum_k coeffs[k + band_m] exp(-i k t).
+
+    coeffs is the autocorrelation of the scaling function on the modes
+    -band_m..band_m; fixed_dim is the dimension of the fixed space of R_W it
+    was taken from, cycles the nontrivial Cohen cycles (angles) that pinned
+    it down, and qmf_residual = max_n |w_{N n} - delta_n| for W scaled to
+    W(1) = N: how far delta_0 is from an exact fixed vector.
+    """
+
+    coeffs: np.ndarray
+    fixed_dim: int
+    cycles: tuple
+    qmf_residual: float
+
+    def eval(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        m = (len(self.coeffs) - 1) // 2
+        modes = np.arange(-m, m + 1)
+        return (np.exp(-1j * t[..., None] * modes) @ self.coeffs).real
+
+
+def _fixed_space(spec: TransferSpec) -> Optional[np.ndarray]:
+    """Orthonormal basis (columns) of the null space of T - I, from an SVD,
+    or None when no clear gap separates it from the other singular values."""
+    mat = transfer_matrix(spec)
+    _, sing, vh = np.linalg.svd(mat - np.eye(mat.shape[0]))
+    scale = sing[0]
+    dim = int(np.count_nonzero(sing <= _NULL_TOL * scale))
+    if dim == 0 or (dim < sing.size and sing[-dim - 1] < _GAP_TOL * scale):
+        return None
+    return vh[-dim:].conj().T
+
+
+def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
+    """Nontrivial cycles of t -> N t (mod 2 pi) on which W(t) = N.
+
+    The candidates are the roots of z**D (N - W(z)) near the unit circle,
+    z = exp(-i t).  Following the map from candidate to nearest candidate
+    gives the cycles; a p-cycle is then snapped to the exact points
+    2 pi j / (N**p - 1) and kept only if W = N there to _CYCLE_TOL.
+    Returns a list of arrays of cycle angles.
+    """
+    d = max(-w.min_deg, w.max_deg)
+    poly = -np.array([w.coeff(k) for k in range(-d, d + 1)])
+    poly[d] += scale_n
+    roots = np.roots(poly[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) <= _ROOT_TOL]
+    zeros = np.mod(-np.angle(roots), 2 * np.pi)
+    # drop the trivial cycle {0}; each double root is kept once
+    zeros = [t for t in np.sort(zeros) if min(t, 2 * np.pi - t) > _ROOT_TOL]
+    zeros = np.array(
+        [t for i, t in enumerate(zeros) if i == 0 or t - zeros[i - 1] > _ROOT_TOL]
+    )
+
+    def circular(a, b):
+        gap = np.abs(np.mod(a - b, 2 * np.pi))
+        return np.minimum(gap, 2 * np.pi - gap)
+
+    successor = {}
+    for i, t in enumerate(zeros):
+        gap = circular(zeros, scale_n * t)
+        if np.min(gap) <= scale_n * _ROOT_TOL:
+            successor[i] = int(np.argmin(gap))
+    mass = float(np.sum(np.abs(w.coeff_array())))
+    cycles = []
+    for start in successor:
+        orbit = [start]
+        while len(orbit) <= len(zeros) and successor.get(orbit[-1], start) != start:
+            orbit.append(successor[orbit[-1]])
+        # each cycle once, from its least candidate; 2**52 keeps j exact
+        period = scale_n ** len(orbit) - 1
+        if successor.get(orbit[-1]) != start or min(orbit) != start or period >= 2**52:
+            continue
+        j = round(zeros[start] * period / (2 * np.pi))
+        snapped = np.array([j * scale_n**i % period for i in range(len(orbit))])
+        snapped = 2 * np.pi * snapped / period
+        if np.all(np.abs(w.eval_angle(snapped) - scale_n) <= _CYCLE_TOL * mass):
+            cycles.append(snapped)
+    return cycles
+
+
+def per_exact(bank: FilterBank) -> Optional[ExactPer]:
+    """The periodization of |phihat|^2 as an exact trigonometric polynomial.
+
+    Its coefficients are the autocorrelation a_k of the scaling function,
+    supported on the invariant window, and a = R_W a.  For a QMF bank with
+    |m_0(1)|**2 = N the fixed space of R_W settles a:
+      * dimension 1: a = delta_0 and PER = 1 (Lawton 1991);
+      * dimension > 1: the extra fixed vectors come from the nontrivial
+        cycles of t -> N t on which W = N, and PER vanishes on those cycles
+        (Cohen 1990).  a is the fixed vector with sum_k a_k = PER(0) = 1 and
+        PER = 0 on every cycle point; the constraint rows must determine it.
+    Returns None when check_qmf fails, when |m_0(1)|**2 is off N by more than
+    TOL * N, when the fixed space is not separated by a clear singular-value
+    gap, or when the cycle constraints do not determine a.
+    """
+    n = bank.scale_n
+    grid = max(DEFAULT_GRID, 2 * _polyphase_span(bank) + 1)
+    if not check_qmf(bank, grid).passed:
+        return None
+    if abs(abs(bank.lowpass.eval(1.0)) ** 2 - n) > DEFAULT_TOL * n:
+        return None
+    spec = TransferSpec.for_bank(bank)
+    basis = _fixed_space(spec)
+    if basis is None:
+        return None
+    m = spec.band_m
+    unit = spec.w.scale(n / spec.w.eval(1.0).real)
+    qmf_residual = max(abs(unit.coeff(n * k) - (k == 0)) for k in range(-m, m + 1))
+    dim = basis.shape[1]
+    if dim == 1:
+        coeffs = np.zeros(2 * m + 1, dtype=complex)
+        coeffs[m] = 1.0
+        return ExactPer(coeffs, 1, (), float(qmf_residual))
+    cycles = _cohen_cycles(spec.w, n)
+    points = np.concatenate([np.zeros(1)] + cycles)
+    rows = np.exp(-1j * points[:, None] * np.arange(-m, m + 1)) @ basis
+    rhs = np.zeros(points.size)
+    rhs[0] = 1.0
+    # least squares through the SVD: _fixed_space has already paged in its
+    # LAPACK routine, and lstsq would page in another (about 0.15 MB of RSS)
+    u, sing, vh = np.linalg.svd(rows, full_matrices=False)
+    if sing.size < dim or sing[-1] < _RANK_TOL * sing[0]:
+        return None
+    c = vh.conj().T @ ((u.conj().T @ rhs) / sing)
+    if np.max(np.abs(rows @ c - rhs)) > _RANK_TOL:
+        return None
+    coeffs = basis @ c
+    coeffs = (coeffs + np.conj(coeffs[::-1])) / 2  # a_{-k} = conj(a_k)
+    return ExactPer(coeffs, dim, tuple(cycles), float(qmf_residual))
+
+
 @dataclass(frozen=True)
 class PerReport:
+    """`certified` is true when the deviation comes from `per_exact` rather
+    than the truncated sum; it is not part of the JSON report."""
+
     max_dev_from_1: float
     is_constant_1: bool
     tail_estimate: float
     n_max: int
+    certified: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -434,14 +598,18 @@ def per_check(
     k_terms: int = K_TERMS,
     flat_tol: float = 1e-2,
 ) -> PerReport:
-    """Max deviation of the truncated periodization from 1 over a t-grid.
+    """Max deviation of the periodization from 1 over the t-grid 2 pi i / t_points.
 
-    The reported tail estimate N / (pi**2 n_max) is the O(1/n_max) bound
-    coming from the 1/|t| decay of the transform of an FIR low-pass filter.
+    The periodization is exact when `per_exact` certifies it: the deviation
+    is then max|PER - 1| on the grid, or, for a one-dimensional fixed space,
+    where PER = 1, the QMF residual max_n |w_{N n} - delta_n| of W scaled to
+    W(1) = N (exactly 0.0 for the two-tap bank).  Otherwise it
+    is the truncated sum `per_samples` with n_max and k_terms.
+    The reported tail estimate N / (pi**2 n_max) is the O(1/n_max) size of the
+    truncation error of that sum (a heuristic, not a bound).
     Raises ValueError for t_points < 1, for n_max < 1, and for an n_max whose
     tail estimate exceeds flat_tol (the message names the least admissible
-    n_max, ceil(N / (pi**2 flat_tol))): that truncation alone could fail an
-    orthonormal bank.
+    n_max, ceil(N / (pi**2 flat_tol))), on either path.
     """
     if t_points < 1:
         raise ValueError(f"t_points must be >= 1, got {t_points}")
@@ -455,9 +623,15 @@ def per_check(
             f"the flatness tolerance {flat_tol:g}; n_max must be >= {least}"
         )
     t = 2 * np.pi * np.arange(t_points) / t_points
-    per = per_samples(bank, t, n_max=n_max, k_terms=k_terms)
-    dev = float(np.max(np.abs(per - 1.0)))
-    return PerReport(dev, dev <= flat_tol, tail, n_max)
+    exact = per_exact(bank)
+    if exact is None:
+        per = per_samples(bank, t, n_max=n_max, k_terms=k_terms)
+        dev = float(np.max(np.abs(per - 1.0)))
+    elif exact.fixed_dim == 1:
+        dev = exact.qmf_residual
+    else:
+        dev = float(np.max(np.abs(exact.eval(t) - 1.0)))
+    return PerReport(dev, dev <= flat_tol, tail, n_max, certified=exact is not None)
 
 
 def fixed_point_check(

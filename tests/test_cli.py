@@ -6,9 +6,9 @@ import pytest
 
 from wavebank.cli import main
 from wavebank.cascade import scaling_function
-from wavebank.design import daubechies4, lifting_recompose, LiftingStep
+from wavebank.design import daubechies4, dft_matrix, lifting_recompose, LiftingStep
 from wavebank.fileio import read_signal_csv, write_signal_csv
-from wavebank.filterbank import FilterBank
+from wavebank.filterbank import FilterBank, filters_from_polyphase
 from wavebank.laurent import LaurentPoly, MatLaurentPoly
 from wavebank.operators import Signal
 
@@ -227,6 +227,45 @@ class TestTransferCommand:
         assert main(argv) == 2
         assert "n_max must be >= 21" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOptionBounds:
+    """Oversized or negative size options exit 2 before the bank or signal
+    is read: the bank and signal paths below do not exist."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["cascade", "nope.json", "--j", "17", "-o", "phi.csv"], "--j"),
+            (["cascade", "nope.json", "--j", "-1", "-o", "phi.csv"], "--j"),
+            (["packets", "nope.json", "--signal", "s.csv", "--depth", "13",
+              "--out-dir", "x"], "--depth"),
+            (["packets", "nope.json", "--signal", "s.csv", "--depth", "0",
+              "--out-dir", "x"], "--depth"),
+            (["pyramid", "nope.json", "--signal", "s.csv", "--levels", "33",
+              "--out-dir", "x"], "--levels"),
+            (["verify", "nope.json", "--grid", str(2**16 + 1)], "--grid"),
+            (["design", "--daubechies4", "--grid", "0", "-o", "d4.json"], "--grid"),
+            (["verify", "--random-banks", "10001"], "--random-banks"),
+            (["verify", "--random-banks", "-2"], "--random-banks"),
+        ],
+    )
+    def test_rejected_before_reading(self, tmp_path, monkeypatch, capsys, argv, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"error: {option} must be in" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_packet_leaves_bounded_for_more_bands(self, tmp_path, signal_file, capsys):
+        # depth 8 is admitted for two bands (256 leaves) but makes 3**8 = 6561
+        bank = tmp_path / "n3.json"
+        three_band = filters_from_polyphase(MatLaurentPoly.from_constant(dft_matrix(3)))
+        bank.write_text(json.dumps(three_band.to_json()))
+        argv = ["packets", str(bank), "--signal", str(signal_file[0]), "--depth", "8",
+                "--out-dir", str(tmp_path / "leaves")]
+        assert main(argv) == 2
+        assert "more than 4096" in capsys.readouterr().err
+        assert not (tmp_path / "leaves").exists()
 
 
 class TestLiftCommand:

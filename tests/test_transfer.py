@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar, random_poly, stretched_haar
@@ -85,6 +85,68 @@ def complex_six_tap():
     q = P.polyfromroots([r, 1 / r])
     taps = P.polymul([0.125, 0.375, 0.375, 0.125], q / P.polyval(1.0, q))
     return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps * 2**0.5))
+
+
+def complex_eight_tap():
+    """Eight-tap spectral factor of the four-moment Daubechies weight with
+    complex taps, as the benchmark draws them: of the roots inside the
+    circle, the real one and one of the complex pair are kept and the other
+    is reflected to 1/conj."""
+    P = np.polynomial.polynomial
+    zy = np.array([-1.0, 2.0, -1.0]) / 4  # z * (2 - z - 1/z) / 4
+    q = np.zeros(1)
+    for k, c in enumerate((1, 4, 10, 20)):  # binom(3 + k, k)
+        term = P.polymul(P.polypow(zy, k), np.eye(4 - k)[3 - k])
+        q = P.polyadd(q, c * term)
+    inside = [x for x in P.polyroots(q) if abs(x) < 1]
+    r = next(x for x in inside if x.imag > 1e-9)
+    real = next(x for x in inside if abs(x.imag) <= 1e-9)
+    q = P.polyfromroots([real, r, 1 / r])
+    taps = P.polymul(P.polypow([0.5, 0.5], 4), q / P.polyval(1.0, q))
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps * 2**0.5))
+
+
+def long_stretched_haar():
+    """Low-pass (1 + z**15) / sqrt(2): its scaling function is the box on
+    [0, 15], and W = 2 on every multiple of 2 pi / 15."""
+    taps = np.zeros(16)
+    taps[[0, 15]] = 2**-0.5
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+
+
+def one_sided_cycle_bank():
+    """Ten-tap complex low-pass with the single 3-cycle 2 pi / 7 * {1, 2, 4}.
+
+    Found by least squares (residual 4e-15): the QMF conditions, m_0(1) =
+    sqrt(2), and m_0 = 0 at t = c + pi for c on that cycle, so W = 2 there.
+    The mirrored cycle 2 pi / 7 * {3, 5, 6} is not a cycle of W, so PER is
+    not even and the sign of exp(-i k t) matters."""
+    re = [0.1253649861511821, -0.0894409400153962, 0.3140175568427316,
+          -0.047963352968078195, -0.01611408712720681, 0.13460179656018748,
+          0.139146497909918, -0.0020990841872836974, 0.1446917745933459,
+          0.7120084146136926]
+    im = [-0.15570045102622562, -0.010031075635428946, -0.09294055246721135,
+          -0.0005517304441400645, 0.17433262080851528, 0.15018885511568947,
+          0.36219080191275493, -0.06783112861771709, -0.2878825387594835,
+          -0.07177480088675317]
+    taps = np.array(re) + 1j * np.array(im)
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+
+
+def corrupted_d4():
+    """D4 with one low-pass tap moved by 1e-3: it fails the QMF check."""
+    taps = daubechies4().coefficients(0).copy()
+    taps[1] += 1e-3
+    return FilterBank(2, (LaurentPoly.from_coeffs(0, taps),) + daubechies4().filters[1:])
+
+
+def truncated_report(bank, t_points, n_max):
+    """The report of the truncated sum alone: max |per_samples - 1| on the
+    t_points grid, with the 1e-2 flatness tolerance."""
+    t = 2 * np.pi * np.arange(t_points) / t_points
+    dev = float(np.max(np.abs(per_samples(bank, t, n_max=n_max) - 1.0)))
+    tail = bank.scale_n / (np.pi**2 * n_max)
+    return transfer.PerReport(dev, dev <= 1e-2, tail, n_max)
 
 
 def per_by_complex_product(bank, t, n_max, k_terms):
@@ -409,6 +471,99 @@ class TestPeriodization:
         fine = per_check(haar(), t_points=8, n_max=4000).max_dev_from_1
         assert fine <= coarse / 4
 
+    def test_haar_truncated_sum_tail_scale(self):
+        # per_check takes the exact path for the two-tap bank, so the 1/n_max
+        # decay of the truncation error is checked on the sum itself
+        t = 2 * np.pi * np.arange(8) / 8
+        coarse = np.max(np.abs(per_samples(haar(), t, n_max=500) - 1.0))
+        fine = np.max(np.abs(per_samples(haar(), t, n_max=4000) - 1.0))
+        assert 0.0 < fine <= coarse / 4
+
+
+class TestExactPeriodization:
+    """`per_exact` against the truncated sum at n_max = 20000 on 16 points.
+
+    The sum only adds nonnegative terms, so it lies below the exact
+    periodization by its truncation error: 0 <= exact - sum <= gap."""
+
+    T = 2 * np.pi * np.arange(16) / 16
+
+    def check_against_sum(self, bank, gap):
+        exact = transfer.per_exact(bank)
+        assert exact is not None
+        diff = exact.eval(self.T) - per_samples(bank, self.T, n_max=20000)
+        assert -1e-12 <= np.min(diff) and np.max(diff) <= gap
+        return exact
+
+    @pytest.mark.parametrize(
+        "bank, gap",
+        # the N = 3 bank's |phihat|^2 decays slowly: its sum is 5e-4 short
+        [(daubechies4(), 1e-9), (three_band_bank(), 1e-3), (complex_eight_tap(), 1e-9)],
+        ids=["d4", "three-band", "complex-eight-tap"],
+    )
+    def test_no_cycle(self, bank, gap):
+        exact = self.check_against_sum(bank, gap)
+        assert exact.fixed_dim == 1 and exact.cycles == ()
+        assert np.array_equal(exact.eval(self.T), np.ones(16))
+
+    def test_eight_tap_factor_is_complex(self):
+        taps = complex_eight_tap().lowpass.coeff_array()
+        assert len(taps) == 8 and np.max(np.abs(taps.imag)) > 1e-3
+
+    def test_one_cycle(self):
+        exact = self.check_against_sum(stretched_haar(), 1e-5)
+        assert exact.fixed_dim == 2
+        (cycle,) = exact.cycles
+        assert np.allclose(sorted(cycle), [2 * np.pi / 3, 4 * np.pi / 3], atol=1e-15)
+        # the autocorrelation of the box on [0, 3]
+        want = np.array([0, 1, 2, 3, 2, 1, 0]) / 9
+        assert np.max(np.abs(exact.coeffs - want)) <= 1e-12
+
+    def test_several_cycles(self):
+        exact = self.check_against_sum(long_stretched_haar(), 1e-6)
+        got = sorted(sorted(np.rint(c * 15 / (2 * np.pi)).astype(int))
+                     for c in exact.cycles)
+        assert got == [[1, 2, 4, 8], [3, 6, 9, 12], [5, 10], [7, 11, 13, 14]]
+        for cycle in exact.cycles:
+            assert np.max(np.abs(exact.eval(cycle))) <= 1e-12
+        assert exact.fixed_dim == 5
+        want = (15 - np.abs(np.arange(-15, 16))) / 225
+        assert np.max(np.abs(exact.coeffs - want)) <= 1e-12
+
+    def test_cycle_not_closed_under_reflection(self):
+        exact = self.check_against_sum(one_sided_cycle_bank(), 1e-4)
+        assert exact.fixed_dim == 2
+        (cycle,) = exact.cycles
+        assert np.allclose(cycle, 2 * np.pi / 7 * np.array([1, 2, 4]), atol=1e-15)
+        assert np.max(np.abs(exact.eval(self.T) - exact.eval(-self.T))) >= 0.5
+
+    @pytest.mark.parametrize("bank", [modulated_d4(), corrupted_d4()],
+                             ids=["modulated-d4", "corrupted-d4"])
+    def test_fallback_is_the_truncated_sum(self, bank):
+        assert transfer.per_exact(bank) is None
+        report = per_check(bank, t_points=16, n_max=300)
+        assert report == truncated_report(bank, 16, 300)
+        assert not report.certified
+
+    def test_exact_report(self):
+        report = per_check(stretched_haar(), t_points=64, n_max=10**4)
+        assert report.certified and not report.is_constant_1
+        assert report.max_dev_from_1 == pytest.approx(0.99964, abs=1e-5)
+        assert set(report.to_json()) == {"max_dev_from_1", "is_constant_1",
+                                         "tail_estimate", "n_max"}
+        # the two-tap bank: the QMF residual of its weight is exactly 0
+        assert per_check(haar(), t_points=8, n_max=500).max_dev_from_1 == 0.0
+
+    def test_three_band_tail_no_longer_fails(self):
+        # the truncated sum deviates by 0.041 here, four times its tail estimate
+        report = per_check(three_band_bank(), t_points=64, n_max=31)
+        assert report.max_dev_from_1 <= 1e-12
+        assert report.is_constant_1
+
+    def test_n_max_still_validated(self):
+        with pytest.raises(ValueError, match="n_max must be >= 21"):
+            per_check(daubechies4(), t_points=8, n_max=20)
+
 
 class TestTailPolynomial:
     @pytest.mark.parametrize(
@@ -447,9 +602,9 @@ class TestTailPolynomial:
 
 
 @st.composite
-def projection_banks(draw):
+def projection_banks(draw, modulated=True):
     """Two-band projection banks with 0..4 factors, the low-pass optionally
-    modulated by exp(1j*alpha*k)."""
+    modulated by exp(1j*alpha*k) (never when modulated is false)."""
     params = draw(st.lists(
         st.builds(
             ProjectionParam,
@@ -459,6 +614,8 @@ def projection_banks(draw):
         max_size=4,
     ))
     bank = bank_from_projections(params)
+    if not modulated:
+        return bank
     alpha = draw(st.one_of(st.none(), st.floats(-np.pi, np.pi)))
     return bank if alpha is None else modulate(bank, alpha)
 
@@ -474,6 +631,23 @@ def test_per_samples_matches_complex_product(bank, t, n_max, k_terms):
     got = per_samples(bank, np.array(t), n_max=n_max, k_terms=k_terms)
     want = per_by_complex_product(bank, np.array(t), n_max, k_terms)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bank=projection_banks(modulated=False))
+def test_exact_per_is_the_periodization(bank):
+    # ONB <=> no Cohen cycle: the exact PER is a nonnegative fixed point of R
+    # with PER(0) = 1, and it is constant 1 just when the fixed space is a line.
+    # Banks near a cycle, whose fixed space has no clear singular-value gap,
+    # have no exact PER (per_check sums them instead).
+    exact = transfer.per_exact(bank)
+    assume(exact is not None)
+    m, n = 32, bank.scale_n
+    fine = exact.eval(2 * np.pi * np.arange(n * m) / (n * m))
+    assert fixed_point_check(bank, fine, m) <= 1e-12
+    assert np.min(fine) >= -1e-12
+    assert abs(exact.eval(0.0) - 1.0) <= 1e-12
+    assert per_check(bank).is_constant_1 == (exact.fixed_dim == 1)
 
 
 class TestFixedPoint:
