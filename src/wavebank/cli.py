@@ -60,7 +60,7 @@ OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 
 def _require_range(option: str, value: int, lo: int, hi: int) -> None:
-    """Reject an option outside lo..hi before anything is sized by it."""
+    """Reject an option or input size outside lo..hi before anything is sized by it."""
     if not lo <= value <= hi:
         raise ValueError(f"{option} must be in {lo}..{hi}, got {value}")
 
@@ -223,6 +223,10 @@ def _cmd_packets(args) -> int:
 
 def _cmd_transfer(args) -> int:
     bank = _load_bank(args.bank)
+    # the weight W = |m0|^2 has degree span(m0); eig and SVD grow as its cube
+    _require_range(
+        "the degree of |m0|^2", bank.lowpass.span, 0, defaults.MAX_TRANSFER_DEGREE
+    )
     spec = TransferSpec.for_bank(bank)
     report = spectrum(spec)
     payload = report.to_json()

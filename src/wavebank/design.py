@@ -123,22 +123,7 @@ def rotation_projection(angle: float) -> np.ndarray:
 
 def six_tap_coefficients(theta: float, rho: float) -> np.ndarray:
     """Closed form for the six masking coefficients of the two-angle family."""
-    r = math.sqrt(2.0)
-    e0 = 1 / r
-    e1 = (math.cos(2 * theta) + math.cos(2 * rho)) / r
-    e2 = (math.sin(2 * theta) + math.sin(2 * rho)) / r
-    e3 = math.cos(2 * theta - 2 * rho) / r
-    e4 = math.sin(2 * theta - 2 * rho) / r
-    return np.array(
-        [
-            (e0 - e1 - e2 + e3 + e4) / 4,
-            (e0 + e1 - e2 + e3 - e4) / 4,
-            (e0 - e3 - e4) / 2,
-            (e0 - e3 + e4) / 2,
-            (e0 + e1 + e2 + e3 + e4) / 4,
-            (e0 - e1 + e2 + e3 - e4) / 4,
-        ]
-    )
+    return _six_tap_coeff_grid(np.array([theta]), np.array([rho]))[0, 0]
 
 
 def six_tap_polyphase(theta: float, rho: float) -> MatLaurentPoly:
@@ -155,7 +140,7 @@ def six_tap_from_angles(theta: float, rho: float) -> FilterBank:
 
 
 def _six_tap_coeff_grid(thetas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """six_tap_coefficients over a meshgrid; shape (len(thetas), len(rhos), 6)."""
+    """The six-tap closed form over a meshgrid; shape (len(thetas), len(rhos), 6)."""
     r = math.sqrt(2.0)
     th = thetas[:, None]
     rh = rhos[None, :]

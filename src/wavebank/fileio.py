@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import defaults
 from .cascade import GridFunction
 from .operators import Signal
 
@@ -68,6 +69,7 @@ def read_signal_csv(path) -> Signal:
     numpy rejects (no header, 2- or 4-column rows, blank cells, malformed
     rows, indices beyond int64) goes through the row parser, which accepts
     the same files as numpy plus those and reports errors as `path:line`.
+    Both reject an index spread above `defaults.MAX_SAMPLES` before allocating.
     """
     path = Path(path)
     try:
@@ -82,12 +84,21 @@ def read_signal_csv(path) -> Signal:
     order = np.argsort(index, kind="stable")
     ordered = index[order]
     last = order[np.append(ordered[1:] != ordered[:-1], True)]  # last row per index
-    lo = int(ordered[0])
-    dense = np.zeros(int(ordered[-1]) - lo + 1, dtype=complex)
+    lo, hi = int(ordered[0]), int(ordered[-1])
+    _check_spread(path, lo, hi)
+    dense = np.zeros(hi - lo + 1, dtype=complex)
     slots = index[last] - lo
     dense.real[slots] = rows["re"][last]
     dense.imag[slots] = rows["im"][last]
     return Signal.from_samples(lo, dense)
+
+
+def _check_spread(path: Path, lo: int, hi: int) -> None:
+    if hi - lo + 1 > defaults.MAX_SAMPLES:
+        raise InputFormatError(
+            f"{path}: indices {lo}..{hi} span {hi - lo + 1} samples, "
+            f"more than {defaults.MAX_SAMPLES}"
+        )
 
 
 def _load_signal_rows(path: Path):
@@ -130,6 +141,7 @@ def _parse_signal_rows(path: Path) -> Signal:
         return Signal.zero()
     lo = min(entries)
     hi = max(entries)
+    _check_spread(path, lo, hi)
     return Signal.from_samples(lo, [entries.get(i, 0.0) for i in range(lo, hi + 1)])
 
 

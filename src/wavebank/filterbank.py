@@ -30,6 +30,8 @@ from .laurent import (
     LaurentPoly,
     MatLaurentPoly,
     SingularOnTorusError,
+    _vanishing_floor,
+    interpolate_torus,
 )
 
 
@@ -132,8 +134,7 @@ def _root_values(bank: FilterBank, grid_size: int) -> np.ndarray:
     m_i(w_{k,j}) where {w_{k,j}}_k are the N-th roots of z_j.
     """
     n = bank.scale_n
-    fine = np.exp(2j * np.pi * np.arange(n * grid_size) / (n * grid_size))
-    vals = np.stack([f.eval(fine) for f in bank.filters])
+    vals = np.stack([f.eval_grid(n * grid_size) for f in bank.filters])
     return vals.reshape(len(bank.filters), n, grid_size)
 
 
@@ -235,34 +236,12 @@ def _as_monomial(p: LaurentPoly) -> tuple[int, complex]:
 
 
 def inverse_of_monomial_det(A: MatLaurentPoly) -> MatLaurentPoly:
-    """A^{-1} = adj(A) / det(A), valid when det A is a (nonzero) monomial."""
-    det = A.determinant()
-    deg, c = _as_monomial(det)
-    n = A.n
-    if n == 1:
-        entries = [[LaurentPoly.one()]]
-    else:
-        entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rows = [r for r in range(n) if r != j]
-                cols = [s for s in range(n) if s != i]
-                minor = [[A.entry(r, s) for s in cols] for r in rows]
-                cof = _det(minor)
-                entries[i][j] = cof if (i + j) % 2 == 0 else -cof
-    adj = MatLaurentPoly.from_entries(entries)
-    return (adj * (1.0 / c)) * LaurentPoly.monomial(-deg)
-
-
-def _det(entries: list) -> LaurentPoly:
-    if len(entries) == 1:
-        return entries[0][0]
-    total = LaurentPoly.zero()
-    for j in range(len(entries)):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = entries[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    """A^{-1} = adj(A) / (c z**d) when det A = c z**d: the pointwise inverse on
+    a grid longer than (n-1)*span(A), read back at degrees (n-1)*min_deg(A) - d..."""
+    deg, _ = _as_monomial(A.determinant())
+    lo, span = (A.n - 1) * A.min_deg - deg, (A.n - 1) * A.span
+    inv = np.linalg.inv(A.eval_grid(1 << span.bit_length()))
+    return MatLaurentPoly.from_coeffs(lo, list(interpolate_torus(inv, lo, span)))
 
 
 def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair:
@@ -270,10 +249,10 @@ def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair
 
     Only FIR duals are supported: det A must be a monomial (then the adjugate
     divided by the determinant is again a Laurent polynomial).  det A must
-    also be bounded away from zero on the torus.
+    also be bounded away from zero on the torus, relative to its scale.
     """
     det = A.determinant()
-    if det.is_zero or np.min(np.abs(det.eval_grid(grid_size))) <= 1e-9:
+    if det.is_zero or np.min(np.abs(det.eval_grid(grid_size))) <= _vanishing_floor(det):
         raise SingularOnTorusError("det A (nearly) vanishes on the torus")
     _as_monomial(det)  # raises with det A attached when the inverse is not FIR
     dual_mat = inverse_of_monomial_det(A.adjoint())

@@ -1,9 +1,14 @@
-"""Exact-coefficient algebra for scalar and matrix Laurent polynomials on the torus.
+"""Coefficient algebra for scalar and matrix Laurent polynomials on the torus.
 
 A Laurent polynomial is stored as a dense block of coefficients together with
 the exponent of its lowest term.  Arithmetic is exact coefficient arithmetic
 (complex doubles); canonicalization trims end coefficients with modulus below
 ``CANONICAL_EPS`` so degree bookkeeping stays stable after round trips.
+
+Every torus grid is sampled by one FFT (`sample_torus`).  Determinants and FIR
+inverses, Laurent polynomials of known span, are taken pointwise on a grid
+longer than that span and read back by `interpolate_torus`: exact up to
+rounding, not in exact coefficients.
 
 Torus conventions used throughout the package:
 
@@ -35,9 +40,25 @@ class SingularOnTorusError(ValueError):
     """A quantity required to be nonvanishing on the torus (nearly) vanishes."""
 
 
-def torus_grid(grid_size: int) -> np.ndarray:
-    """Counterclockwise grid of `grid_size` points on the unit circle."""
-    return np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+def sample_torus(min_deg: int, coeffs, grid_size: int) -> np.ndarray:
+    """Values of sum_k coeffs[k] z**(min_deg + k) at z_j = exp(2*pi*1j*j/G),
+    G = grid_size, with any trailing (matrix) axes of coeffs kept.  Degrees
+    are folded mod G before one inverse FFT, so every G >= 1 is exact."""
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    folded = np.zeros((grid_size,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(folded, (min_deg + np.arange(len(coeffs))) % grid_size, coeffs)
+    return np.fft.ifft(folded, axis=0) * grid_size
+
+
+def interpolate_torus(values: np.ndarray, min_deg: int, span: int) -> np.ndarray:
+    """Coefficients of degrees min_deg..min_deg+span read back from the
+    `sample_torus` values of a polynomial in those degrees; needs G > span."""
+    if len(values) <= span:
+        raise ValueError(f"{len(values)} samples cannot resolve span {span}")
+    degrees = (min_deg + np.arange(span + 1)) % len(values)
+    return np.fft.fft(values, axis=0)[degrees] / len(values)
 
 
 def frozen_vector(values) -> np.ndarray:
@@ -214,7 +235,7 @@ class LaurentPoly:
         return self.eval(np.exp(-1j * np.asarray(t, dtype=float)))
 
     def eval_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        return self.eval(torus_grid(grid_size))
+        return sample_torus(self.min_deg, self.coeffs, grid_size)
 
     # -- comparison / io ----------------------------------------------------
 
@@ -387,9 +408,11 @@ class MatLaurentPoly:
         return MatLaurentPoly.from_coeffs(-self.max_deg, mats)
 
     def determinant(self) -> LaurentPoly:
-        """det A(z) as a LaurentPoly, by Laplace expansion in exact coefficients."""
-        entries = [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-        return _det_laplace(entries)
+        """det A(z): np.linalg.det on a power-of-two grid longer than its span
+        n*span(A), interpolated back to degrees n*min_deg(A)...n*max_deg(A)."""
+        lo, span = self.n * self.min_deg, self.n * self.span
+        dets = np.linalg.det(self.eval_grid(1 << span.bit_length()))
+        return LaurentPoly.from_coeffs(lo, interpolate_torus(dets, lo, span))
 
     # -- evaluation --------------------------------------------------------
 
@@ -403,11 +426,7 @@ class MatLaurentPoly:
 
     def eval_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Values on the counterclockwise grid, shape (grid_size, n, n)."""
-        zs = torus_grid(grid_size)
-        acc = np.zeros((len(zs), self.n, self.n), dtype=complex)
-        for m in reversed(self.coeffs):
-            acc = acc * zs[:, None, None] + m
-        return acc * (zs ** self.min_deg)[:, None, None]
+        return sample_torus(self.min_deg, self.coeffs, grid_size)
 
     # -- io ------------------------------------------------------------------
 
@@ -427,20 +446,6 @@ class MatLaurentPoly:
             for m in obj["coeffs"]
         ]
         return MatLaurentPoly.from_coeffs(int(obj["min_deg"]), mats)
-
-
-def _det_laplace(entries: list) -> LaurentPoly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    total = LaurentPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = entries[0][j] * _det_laplace(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 @dataclass(frozen=True)
@@ -468,18 +473,26 @@ def is_unitary_on_torus(
     return UnitarityReport(residual <= tol, residual)
 
 
+def _vanishing_floor(p: LaurentPoly) -> float:
+    """|p| at or below this counts as zero on the torus: 1e-9 * sum_k |c_k|,
+    a fraction of the bound sum_k |c_k| >= max |p| there."""
+    return 1e-9 * float(np.sum(np.abs(p.coeff_array())))
+
+
 def winding_number(p: LaurentPoly, grid_size: int = DEFAULT_GRID) -> int:
     """Total argument increment of p around the (counterclockwise) torus, / 2*pi.
 
     Sums principal-branch phase increments; the grid is refined x4 whenever a
     single increment exceeds pi/2, so root-free curves are tracked reliably.
+    p vanishes where |p| <= `_vanishing_floor(p)`, whatever the scale of p.
     """
     if p.is_zero:
         raise SingularOnTorusError("winding number of the zero polynomial is undefined")
+    floor = _vanishing_floor(p)
     g = grid_size
     while True:
         vals = p.eval_grid(g)
-        if np.min(np.abs(vals)) <= 1e-9:
+        if np.min(np.abs(vals)) <= floor:
             raise SingularOnTorusError(
                 "polynomial (nearly) vanishes on the torus; winding undefined"
             )

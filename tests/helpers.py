@@ -8,6 +8,8 @@ from wavebank.design import (
     LiftingStep,
     ProjectionParam,
     bank_from_projections,
+    dft_matrix,
+    general_factor,
 )
 from wavebank.filterbank import FilterBank
 from wavebank.laurent import LaurentPoly, MatLaurentPoly
@@ -35,6 +37,17 @@ def random_params(rng, k):
 
 def random_projection_bank(rng, k):
     return bank_from_projections(random_params(rng, k))
+
+
+def dft_projection_product(n, vectors):
+    """dft_matrix(n) * prod_v (1 - P_v + z*P_v) for the rank-one projections
+    P_v onto the nonzero vectors v of C^n: unitary on the torus, with
+    determinant det(dft_matrix(n)) * z**len(vectors)."""
+    A = MatLaurentPoly.from_constant(dft_matrix(n))
+    for v in vectors:
+        v = np.asarray(v, dtype=complex)
+        A = A * general_factor(np.outer(v, np.conj(v)) / np.vdot(v, v).real)
+    return A
 
 
 def random_four_tap_bank(rng):

@@ -6,7 +6,14 @@ import pytest
 
 from wavebank.cli import main
 from wavebank.cascade import scaling_function
-from wavebank.design import daubechies4, dft_matrix, lifting_recompose, LiftingStep
+from wavebank.design import (
+    LiftingStep,
+    ProjectionParam,
+    bank_from_projections,
+    daubechies4,
+    dft_matrix,
+    lifting_recompose,
+)
 from wavebank.fileio import read_signal_csv, write_signal_csv
 from wavebank.filterbank import FilterBank, filters_from_polyphase
 from wavebank.laurent import LaurentPoly, MatLaurentPoly
@@ -228,6 +235,38 @@ class TestTransferCommand:
         assert "n_max must be >= 21" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("degree", [129, 511])
+    def test_long_bank_rejected_before_computing(
+        self, tmp_path, monkeypatch, capsys, degree
+    ):
+        from wavebank import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("transfer ran on a bank above the degree bound")
+
+        monkeypatch.setattr(cli, "spectrum", never)
+        monkeypatch.setattr(cli, "per_check", never)
+        taps = [2**-0.5] + [0.0] * (degree - 1) + [2**-0.5]
+        bank = FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(bank.to_json()))
+        out = tmp_path / "spec.json"
+        assert main(["transfer", str(path), "-o", str(out), "--per"]) == 2
+        assert f"error: the degree of |m0|^2 must be in 0..128, got {degree}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_eight_tap_bank_within_bound(self, tmp_path):
+        params = [(0.3, 1.0), (0.6, 2.0), (0.2, 0.5)]
+        bank = bank_from_projections([ProjectionParam(*p) for p in params])
+        assert bank.lowpass.span == 7
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps(bank.to_json()))
+        out = tmp_path / "spec.json"
+        assert main(["transfer", str(path), "-o", str(out), "--per"]) == 0
+        assert json.loads(out.read_text())["per"]["is_constant_1"] is True
+
 
 class TestOptionBounds:
     """Oversized or negative size options exit 2 before the bank or signal
@@ -266,6 +305,17 @@ class TestOptionBounds:
         assert main(argv) == 2
         assert "more than 4096" in capsys.readouterr().err
         assert not (tmp_path / "leaves").exists()
+
+    def test_signal_index_spread_is_input_error(self, tmp_path, d4_file, capsys):
+        # indices 0 and 10**12 would make a 16 TB signal; it is never allocated
+        sig = tmp_path / "wide.csv"
+        sig.write_text("index,re,im\n0,1.0,0.0\n1000000000000,1.0,0.0\n")
+        argv = ["pyramid", str(d4_file), "--signal", str(sig),
+                "--out-dir", str(tmp_path / "bands")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "more than 4194304" in err
+        assert not (tmp_path / "bands").exists()
 
 
 class TestLiftCommand:

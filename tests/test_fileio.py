@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_signal
+from wavebank import defaults
 from wavebank.cascade import GridFunction
 from wavebank.fileio import (
     InputFormatError,
@@ -117,6 +118,23 @@ class TestReadSignalCsv:
         a, b = read_signal_csv(path), read_signal_csv(bare)
         assert a == b == sig
         assert a.samples == sig.samples
+
+
+    # the bulk reader (headed three-column rows) and the row parser (no header)
+    WIDE = ["index,re,im\n0,1.0,0.0\n{hi},1.0,0.0\n", "0,1.0\n{hi},1.0\n"]
+
+    @pytest.mark.parametrize("text", WIDE)
+    def test_index_spread_above_bound_rejected(self, tmp_path, text):
+        # 10**12 + 1 samples would be 16 TB; the check fires before allocating
+        with pytest.raises(InputFormatError, match="1000000000001 samples, more than"):
+            _read_text(tmp_path, text.format(hi=10**12))
+
+    @pytest.mark.parametrize("text", WIDE)
+    def test_index_spread_bound_is_inclusive(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(defaults, "MAX_SAMPLES", 4)
+        assert len(_read_text(tmp_path, text.format(hi=3)).samples) == 4
+        with pytest.raises(InputFormatError, match="5 samples, more than 4"):
+            _read_text(tmp_path, text.format(hi=4))
 
 
 class TestWriteCsv:

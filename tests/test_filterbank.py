@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import haar, random_monomial_det_matrix, random_projection_bank
-from wavebank.design import daubechies4
+from helpers import (
+    dft_projection_product,
+    haar,
+    random_monomial_det_matrix,
+    random_projection_bank,
+)
+from wavebank.design import ProjectionParam, daubechies4, unitary_from_projections
 from wavebank.filterbank import (
     FilterBank,
     NonPolynomialInverseError,
@@ -12,6 +17,7 @@ from wavebank.filterbank import (
     check_qmf,
     dual_filters,
     filters_from_polyphase,
+    inverse_of_monomial_det,
     polyphase_from_filters,
 )
 from wavebank.laurent import (
@@ -204,6 +210,27 @@ class TestDualFilters:
             A = random_monomial_det_matrix(rng)
             pair = dual_filters(A)
             assert biorthogonality_residual(pair) <= 1e-9
+
+    def test_dual_scales_inversely(self):
+        # det(1e-5 * A) is 1e-10 * z**2 on the torus: small, not vanishing
+        A = unitary_from_projections(
+            [ProjectionParam(0.3, 1.0), ProjectionParam(0.6, 2.0)]
+        )
+        unscaled = dual_filters(A).dual.filters
+        scaled = dual_filters(A * 1e-5).dual.filters
+        for got, d in zip(scaled, unscaled):
+            want = d.scale(1e5)
+            assert (got - want).max_abs_coeff() <= 1e-9 * want.max_abs_coeff()
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_inverse_of_monomial_det(self, n):
+        rng = np.random.default_rng(n)
+        vectors = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        U = dft_projection_product(n, vectors)
+        D = MatLaurentPoly.from_constant(np.diag([2.0] + [1.0] * (n - 1)))
+        for A in (U, D * U, D * U * LaurentPoly.monomial(-2)):
+            resid = inverse_of_monomial_det(A) * A - MatLaurentPoly.identity(n)
+            assert max(float(np.max(np.abs(m))) for m in resid.coeffs) <= 1e-12
 
 
 class TestSerialization:

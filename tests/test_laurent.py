@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import dft_projection_product
+from wavebank.design import ProjectionParam, dft_matrix, unitary_from_projections
 from wavebank.laurent import (
     DimensionMismatchError,
     LaurentPoly,
     MatLaurentPoly,
     SingularOnTorusError,
+    interpolate_torus,
     is_unitary_on_torus,
     k1_class,
     winding_number,
@@ -40,6 +45,27 @@ class TestEval:
         p = LaurentPoly.monomial(1)
         t = 0.7
         assert p.eval_angle(t) == pytest.approx(np.exp(-1j * t))
+
+    @pytest.mark.parametrize("grid_size", [1, 3, 5, 16])
+    def test_grid_samples_fold_degrees(self, grid_size):
+        # span 9 and min_deg -4: grids of 1, 3 and 5 points are shorter than
+        # the span, so the degrees wrap around the grid
+        rng = np.random.default_rng(4)
+        p = LaurentPoly.from_coeffs(-4, rng.normal(size=10) + 1j * rng.normal(size=10))
+        A = MatLaurentPoly.from_coeffs(
+            -4, list(rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3)))
+        )
+        zs = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+        assert np.max(np.abs(p.eval_grid(grid_size) - p.eval(zs))) <= 1e-12
+        want = np.stack([A.eval(z) for z in zs])
+        assert np.max(np.abs(A.eval_grid(grid_size) - want)) <= 1e-12
+
+    def test_interpolation_inverts_sampling(self):
+        p = LaurentPoly.from_coeffs(-4, [1.0, 2.0j, -0.5, 3.0, 0.25 - 1j])
+        back = interpolate_torus(p.eval_grid(8), -4, 4)
+        assert np.max(np.abs(back - p.coeff_array())) <= 1e-15
+        with pytest.raises(ValueError):
+            interpolate_torus(p.eval_grid(4), -4, 4)
 
 
 class TestAlgebra:
@@ -170,6 +196,50 @@ class TestWinding:
         p = np.outer(v, np.conj(v))
         A = MatLaurentPoly.from_coeffs(0, [np.eye(2) - p, p])
         assert k1_class(A) == 1
+
+    def test_k1_class_does_not_depend_on_scale(self):
+        # det(1e-5 * A) is 1e-10 * z**2 on the torus: small, not vanishing
+        A = unitary_from_projections(
+            [ProjectionParam(0.3, 1.0), ProjectionParam(0.6, 2.0)]
+        )
+        assert k1_class(A) == 2
+        assert k1_class(A * 1e-5) == 2
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_dft_times_projection_factors(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(4):
+            vectors = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+            A = dft_projection_product(n, vectors)
+            want = LaurentPoly.monomial(k, np.linalg.det(dft_matrix(n)))
+            assert A.determinant().approx_eq(want, 1e-12)
+
+
+@st.composite
+def dft_projection_products(draw):
+    """(k, dft_matrix(n) times k rank-one projection factors), n in 2..8."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(0, 4))
+    vectors = []
+    for _ in range(k):
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+        v = np.array(parts[:n]) + 1j * np.array(parts[n:])
+        assume(np.linalg.norm(v) >= 0.1)
+        vectors.append(v)
+    return k, dft_projection_product(n, vectors)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=dft_projection_products())
+def test_k1_class_counts_projection_factors(case):
+    k, A = case
+    det = A.determinant()
+    c = det.coeff(k)
+    assert k1_class(A) == k
+    assert det.approx_eq(LaurentPoly.monomial(k, c), 1e-12)
+    assert abs(abs(c) - 1.0) <= 1e-12
 
 
 class TestSerialization:
