@@ -338,9 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit status.  The parser is built
+    on the first call and reused, so the option defaults it takes from
+    `defaults` (GRID_SIZE, TOL, J_LEVEL, ITERS, N_MAX) are those of that call."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as exc:

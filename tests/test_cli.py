@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from wavebank import cli
 from wavebank.cli import main
 from wavebank.cascade import scaling_function
 from wavebank.design import (
@@ -34,6 +35,22 @@ def signal_file(tmp_path):
     path = tmp_path / "sig.csv"
     write_signal_csv(sig, path)
     return path, sig
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert main(["verify", "--random-banks", "1", "--seed", "1"]) == 0
+        assert main(["verify", "--random-banks", "2", "--seed", "2"]) == 0
+        assert built == [1]
 
 
 class TestDesignVerify:
