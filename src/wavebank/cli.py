@@ -262,11 +262,7 @@ def _cmd_lift(args) -> int:
         raise InputFormatError(f"{args.matrix}: not a matrix file ({exc})") from exc
     steps = lifting_factorize(A)
     dump_json({"steps": [s.to_json() for s in steps]}, args.output)
-    resid = max(
-        (A - lifting_recompose(steps)).entry(i, j).max_abs_coeff()
-        for i in range(2)
-        for j in range(2)
-    )
+    resid = float(np.max(np.abs((A - lifting_recompose(steps)).coeffs)))
     print(f"wrote {len(steps)} steps to {args.output} (recomposition residual {resid:.3e})")
     return OK if resid <= 1e-9 else VERIFY_FAILED
 

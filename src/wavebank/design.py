@@ -287,8 +287,8 @@ def _monomial_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     Both ends qualify; the quotient with the smaller magnitude is taken for
     numerical stability, ties broken toward cancelling the highest exponent.
     """
-    q_top = f.coeffs[-1] / g.coeffs[-1]
-    q_bot = f.coeffs[0] / g.coeffs[0]
+    q_top = f.coeff(f.max_deg) / g.coeff(g.max_deg)
+    q_bot = f.coeff(f.min_deg) / g.coeff(g.min_deg)
     if abs(q_bot) < abs(q_top):
         return LaurentPoly.monomial(f.min_deg - g.min_deg, q_bot)
     return LaurentPoly.monomial(f.max_deg - g.max_deg, q_top)
@@ -377,7 +377,7 @@ def lifting_factorize(A: MatLaurentPoly) -> list:
             continue
         if a.span == 0:
             # a is a unit; one exact division kills b entirely
-            apply_upper(b * LaurentPoly.monomial(-a.min_deg, 1.0 / a.coeffs[0]))
+            apply_upper(b * LaurentPoly.monomial(-a.min_deg, 1.0 / a.coeff(a.min_deg)))
         elif b.span >= a.span:
             apply_upper(_monomial_quotient(b, a))
         else:
@@ -390,7 +390,7 @@ def lifting_factorize(A: MatLaurentPoly) -> list:
             MatLaurentPoly.from_entries(entries),
         )
     power = a.min_deg
-    K = a.coeffs[0]
+    K = a.coeff(a.min_deg)
     # remaining matrix is [[K z^p, 0], [c, (1/K) z^-p]]; strip the lower-left,
     # then expand diag(z^p, z^-p) into elementary steps
     c = entries[1][0]

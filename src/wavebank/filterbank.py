@@ -78,7 +78,7 @@ class FilterBank:
         Requires m0 supported on 0..2n+1 (an even tap count); the high-pass
         is the standard completion b_k = (-1)**k * conj(a_{2n+1-k}).
         """
-        if m0.is_zero or m0.min_deg != 0 or len(m0.coeffs) % 2 != 0:
+        if m0.is_zero or m0.min_deg != 0 or len(m0.data) % 2 != 0:
             raise ValueError("low-pass filter must have support 0..2n+1")
         a = m0.coeff_array()
         top = len(a) - 1
@@ -138,21 +138,22 @@ def _root_values(bank: FilterBank, grid_size: int) -> np.ndarray:
     return vals.reshape(len(bank.filters), n, grid_size)
 
 
-def _polyphase_span(bank: FilterBank) -> int:
-    """span of polyphase_from_filters(bank), read off the filter degrees:
-    coefficient d of a filter lands in degree d // N of the matrix."""
+def _polyphase_span(bank: FilterBank) -> tuple[int, int]:
+    """min_deg and span of polyphase_from_filters(bank), read off the filter
+    degrees: coefficient d of a filter lands in degree d // N of the matrix."""
     n = bank.scale_n
     live = [f for f in bank.filters if not f.is_zero]
     if not live:
-        return 0
-    return max(f.max_deg // n for f in live) - min(f.min_deg // n for f in live)
+        return 0, 0
+    lo = min(f.min_deg // n for f in live)
+    return lo, max(f.max_deg // n for f in live) - lo
 
 
 def _require_grid(grid_size: int, primal: FilterBank, dual: FilterBank) -> None:
     """The Gram residual A*(z) B(z) - I of polyphase matrices A and B is a
     Laurent polynomial of span at most span(A) + span(B); a grid of fewer
     points can alias it to zero and pass a bank that fails."""
-    required = _polyphase_span(primal) + _polyphase_span(dual) + 1
+    required = _polyphase_span(primal)[1] + _polyphase_span(dual)[1] + 1
     if grid_size < required:
         raise ValueError(f"grid_size {grid_size} < required {required}")
 
@@ -180,51 +181,31 @@ def check_qmf(
 
 
 def polyphase_from_filters(bank: FilterBank) -> MatLaurentPoly:
-    """Exact index rearrangement of filter coefficients into A(z)."""
+    """Exact index rearrangement A[i, j]_k = m_i[N*k + j]: the filters, zero
+    padded into one (N, L*N) block from degree N*min_deg(A), read as (L, N, N)."""
     n = bank.scale_n
-    entries = []
-    for i in range(n):
-        row = []
-        f = bank.filters[i]
-        for j in range(n):
-            coeffs = {}
-            if not f.is_zero:
-                for deg in range(f.min_deg, f.max_deg + 1):
-                    if (deg - j) % n == 0:
-                        c = f.coeff(deg)
-                        if c != 0:
-                            coeffs[(deg - j) // n] = c
-            if coeffs:
-                lo = min(coeffs)
-                hi = max(coeffs)
-                row.append(
-                    LaurentPoly.from_coeffs(
-                        lo, [coeffs.get(k, 0.0) for k in range(lo, hi + 1)]
-                    )
-                )
-            else:
-                row.append(LaurentPoly.zero())
-        entries.append(row)
-    return MatLaurentPoly.from_entries(entries)
+    lo, span = _polyphase_span(bank)
+    block = np.zeros((n, (span + 1) * n), dtype=complex)
+    for row, f in zip(block, bank.filters):
+        start = f.min_deg - n * lo
+        row[start : start + len(f.data)] = f.data
+    return MatLaurentPoly.from_coeffs(lo, block.reshape(n, span + 1, n).transpose(1, 0, 2))
 
 
 def filters_from_polyphase(A: MatLaurentPoly) -> FilterBank:
-    """m_i(z) = sum_j z**j A[i, j](z**N); exact inverse of polyphase_from_filters."""
+    """m_i(z) = sum_j z**j A[i, j](z**N): row i of every coefficient, read in
+    (k, j) order from degree N*min_deg(A); exact inverse of polyphase_from_filters."""
     n = A.n
-    filters = []
-    for i in range(n):
-        f = LaurentPoly.zero()
-        for j in range(n):
-            f = f + A.entry(i, j).compose_power(n).shift(j)
-        filters.append(f)
-    return FilterBank(n, tuple(filters))
+    rows = (A.coeffs[:, i].reshape(-1) for i in range(n))
+    return FilterBank(n, tuple(LaurentPoly.from_coeffs(n * A.min_deg, r) for r in rows))
 
 
-def _as_monomial(p: LaurentPoly) -> tuple[int, complex]:
-    """Interpret p as a monomial, tolerating coefficient dust below 1e-12 relative."""
+def _as_monomial(p: LaurentPoly) -> int:
+    """The degree of p read as a monomial, tolerating coefficient dust below
+    1e-12 relative."""
     if p.is_zero:
         raise SingularOnTorusError("determinant is identically zero")
-    arr = np.abs(p.coeff_array())
+    arr = np.abs(p.data)
     k = int(np.argmax(arr))
     if np.any(np.delete(arr, k) > 1e-12 * arr[k]):
         raise NonPolynomialInverseError(
@@ -232,16 +213,16 @@ def _as_monomial(p: LaurentPoly) -> tuple[int, complex]:
             "is not FIR",
             p,
         )
-    return p.min_deg + k, p.coeffs[k]
+    return p.min_deg + k
 
 
 def inverse_of_monomial_det(A: MatLaurentPoly) -> MatLaurentPoly:
     """A^{-1} = adj(A) / (c z**d) when det A = c z**d: the pointwise inverse on
     a grid longer than (n-1)*span(A), read back at degrees (n-1)*min_deg(A) - d..."""
-    deg, _ = _as_monomial(A.determinant())
+    deg = _as_monomial(A.determinant())
     lo, span = (A.n - 1) * A.min_deg - deg, (A.n - 1) * A.span
     inv = np.linalg.inv(A.eval_grid(1 << span.bit_length()))
-    return MatLaurentPoly.from_coeffs(lo, list(interpolate_torus(inv, lo, span)))
+    return MatLaurentPoly.from_coeffs(lo, interpolate_torus(inv, lo, span))
 
 
 def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair:

@@ -1,9 +1,12 @@
 """Coefficient algebra for scalar and matrix Laurent polynomials on the torus.
 
-A Laurent polynomial is stored as a dense block of coefficients together with
-the exponent of its lowest term.  Arithmetic is exact coefficient arithmetic
-(complex doubles); canonicalization trims end coefficients with modulus below
-``CANONICAL_EPS`` so degree bookkeeping stays stable after round trips.
+A Laurent polynomial is stored as the exponent of its lowest term together
+with one read-only complex ndarray of coefficients: shape (span + 1,) for
+`LaurentPoly`, (span + 1, n, n) for `MatLaurentPoly`.  Arithmetic is exact
+coefficient arithmetic (complex doubles) on those arrays; `from_coeffs`, the
+one constructor, trims end terms of modulus below ``CANONICAL_EPS`` (a matrix
+term by its largest entry) so degree bookkeeping stays stable after round
+trips.
 
 Every torus grid is sampled by one FFT (`sample_torus`).  Determinants and FIR
 inverses, Laurent polynomials of known span, are taken pointwise on a grid
@@ -73,42 +76,49 @@ def frozen_vector(values) -> np.ndarray:
     return arr
 
 
-def _trim(min_deg: int, coeffs: np.ndarray) -> tuple[int, tuple]:
-    lo = 0
-    hi = len(coeffs)
-    while lo < hi and abs(coeffs[lo]) < CANONICAL_EPS:
+def _trim_ends(min_deg: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """(min_deg, arr) without the end terms of modulus below CANONICAL_EPS,
+    a matrix term measured by its largest entry; NaN terms are kept.  When
+    no term is kept the view is empty and min_deg is 0."""
+    small = np.abs(arr) < CANONICAL_EPS
+    if arr.ndim > 1:
+        small = small.all(axis=(1, 2))
+    small = small.tolist()  # the scans below stop at the first kept term
+    lo, hi = 0, len(small)
+    while lo < hi and small[lo]:
         lo += 1
-    while hi > lo and abs(coeffs[hi - 1]) < CANONICAL_EPS:
+    while hi > lo and small[hi - 1]:
         hi -= 1
     if lo == hi:
-        return 0, ()
-    return min_deg + lo, tuple(complex(c) for c in coeffs[lo:hi])
+        return 0, arr[:0]
+    return min_deg + lo, arr[lo:hi]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPoly:
-    """m(z) = sum_k coeffs[k] * z**(min_deg + k), finitely supported.
+    """m(z) = sum_k data[k] * z**(min_deg + k), finitely supported.
 
-    The zero polynomial is the canonical instance with an empty coefficient
-    tuple.  Instances are immutable and safe to share between tasks.
+    The coefficients are one read-only complex ndarray, `data`, which
+    operations share without copying; `coeffs` is its tuple-of-complex view.
+    Build polynomials with `from_coeffs`, which copies, freezes and trims its
+    input.  The zero polynomial has an empty array and min_deg 0.  Equality
+    and hashing compare min_deg and the coefficient values.
     """
 
     min_deg: int
-    coeffs: tuple
+    data: np.ndarray
 
     @staticmethod
     def from_coeffs(min_deg: int, coeffs: Iterable[complex]) -> "LaurentPoly":
-        arr = np.asarray(list(coeffs), dtype=complex)
-        lo, cs = _trim(min_deg, arr)
-        return LaurentPoly(lo, cs)
+        return LaurentPoly(*_trim_ends(min_deg, frozen_vector(coeffs)))
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
+        return LaurentPoly(0, frozen_vector(()))
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(0, (1.0 + 0.0j,))
+        return LaurentPoly(0, frozen_vector((1.0,)))
 
     @staticmethod
     def monomial(degree: int, coeff: complex = 1.0) -> "LaurentPoly":
@@ -117,37 +127,47 @@ class LaurentPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(self.data.tolist())
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.data)
 
     @property
     def max_deg(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return self.min_deg + len(self.coeffs) - 1
+        return self.min_deg + len(self.data) - 1
 
     @property
     def span(self) -> int:
         """max_deg - min_deg; 0 for monomials and for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else 0
+        return max(len(self.data) - 1, 0)
 
     def coeff(self, degree: int) -> complex:
         """Coefficient of z**degree (0 outside the stored block)."""
-        if self.is_zero or degree < self.min_deg or degree > self.max_deg:
-            return 0.0 + 0.0j
-        return self.coeffs[degree - self.min_deg]
+        k = degree - self.min_deg
+        return complex(self.data[k]) if 0 <= k < len(self.data) else 0j
 
     def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
+        return self.data
 
     @property
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.data) == 1
 
     def max_abs_coeff(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(np.max(np.abs(self.coeff_array())))
+        return float(np.max(np.abs(self.data), initial=0.0))
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.min_deg == other.min_deg and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.min_deg, (self.data + 0.0).tobytes()))
 
     # -- algebra -----------------------------------------------------------
 
@@ -161,12 +181,12 @@ class LaurentPoly:
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
         out = np.zeros(hi - lo + 1, dtype=complex)
-        out[self.min_deg - lo : self.min_deg - lo + len(self.coeffs)] += self.coeffs
-        out[other.min_deg - lo : other.min_deg - lo + len(other.coeffs)] += other.coeffs
+        out[self.min_deg - lo : self.max_deg - lo + 1] += self.data
+        out[other.min_deg - lo : other.max_deg - lo + 1] += other.data
         return LaurentPoly.from_coeffs(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_deg, tuple(-c for c in self.coeffs))
+        return LaurentPoly.from_coeffs(self.min_deg, -self.data)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -175,7 +195,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             if self.is_zero or other.is_zero:
                 return LaurentPoly.zero()
-            conv = np.convolve(self.coeff_array(), other.coeff_array())
+            conv = np.convolve(self.data, other.data)
             return LaurentPoly.from_coeffs(self.min_deg + other.min_deg, conv)
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
@@ -187,29 +207,26 @@ class LaurentPoly:
         return NotImplemented
 
     def scale(self, s: complex) -> "LaurentPoly":
-        if self.is_zero:
-            return self
-        return LaurentPoly.from_coeffs(self.min_deg, s * self.coeff_array())
+        return LaurentPoly.from_coeffs(self.min_deg, s * self.data)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k (exact reindexing)."""
         if self.is_zero:
             return self
-        return LaurentPoly(self.min_deg + k, self.coeffs)
+        return LaurentPoly(self.min_deg + k, self.data)
 
     def adjoint(self) -> "LaurentPoly":
         """p*(z) = sum conj(c_k) z**(-k); equals conj(p(z)) for |z| = 1."""
         if self.is_zero:
             return self
-        rev = np.conj(self.coeff_array()[::-1])
-        return LaurentPoly(-self.max_deg, tuple(complex(c) for c in rev))
+        return LaurentPoly(-self.max_deg, frozen_vector(np.conj(self.data[::-1])))
 
     def compose_power(self, n: int) -> "LaurentPoly":
         """p(z**n): exponents multiply by n (n >= 1)."""
         if self.is_zero:
             return self
         out = np.zeros(self.span * n + 1, dtype=complex)
-        out[::n] = self.coeff_array()
+        out[::n] = self.data
         return LaurentPoly.from_coeffs(self.min_deg * n, out)
 
     # -- evaluation --------------------------------------------------------
@@ -221,7 +238,7 @@ class LaurentPoly:
         z = np.asarray(z, dtype=complex)
         # Horner on the polynomial part, then restore the z**min_deg prefactor.
         acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
+        for c in self.data[::-1]:
             acc = acc * z + c
         acc = acc * z ** self.min_deg
         if acc.ndim == 0:
@@ -235,7 +252,7 @@ class LaurentPoly:
         return self.eval(np.exp(-1j * np.asarray(t, dtype=float)))
 
     def eval_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-        return sample_torus(self.min_deg, self.coeffs, grid_size)
+        return sample_torus(self.min_deg, self.data, grid_size)
 
     # -- comparison / io ----------------------------------------------------
 
@@ -243,10 +260,7 @@ class LaurentPoly:
         return (self - other).max_abs_coeff() <= tol
 
     def to_json(self) -> dict:
-        return {
-            "min_deg": self.min_deg,
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-        }
+        return {"min_deg": self.min_deg, "coeffs": _re_im_pairs(self.data)}
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
@@ -257,47 +271,42 @@ class LaurentPoly:
         if self.is_zero:
             return "LaurentPoly(0)"
         terms = ", ".join(
-            f"z^{self.min_deg + k}: {c:.6g}" for k, c in enumerate(self.coeffs)
+            f"z^{self.min_deg + k}: {c:.6g}" for k, c in enumerate(self.data.tolist())
         )
         return f"LaurentPoly({terms})"
 
 
+def _re_im_pairs(arr: np.ndarray) -> list:
+    """arr as nested lists with each complex entry a [real, imag] pair."""
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class MatLaurentPoly:
-    """Square-matrix-valued Laurent polynomial A(z) = sum_k A_k z**(min_deg+k)."""
+    """Square-matrix-valued Laurent polynomial A(z) = sum_k A_k z**(min_deg+k).
+
+    `coeffs` is one read-only complex ndarray of shape (span + 1, n, n),
+    coeffs[k] = A_k.  Build matrices with `from_coeffs`, which copies,
+    freezes and trims end matrices whose largest entry is below
+    CANONICAL_EPS; the zero matrix keeps one zero coefficient at degree 0.
+    """
 
     n: int
     min_deg: int
-    coeffs: tuple  # tuple of read-only (n, n) complex ndarrays
+    coeffs: np.ndarray
 
     @staticmethod
     def from_coeffs(min_deg: int, mats: Sequence[np.ndarray]) -> "MatLaurentPoly":
-        mats = [np.asarray(m, dtype=complex) for m in mats]
-        if not mats:
-            raise ValueError("need at least one coefficient matrix (may be zero)")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"coefficient shapes differ: {m.shape} vs {(n, n)}"
-                )
-        norms = [float(np.max(np.abs(m))) if m.size else 0.0 for m in mats]
-        lo = 0
-        hi = len(mats)
-        while lo < hi and norms[lo] < CANONICAL_EPS:
-            lo += 1
-        while hi > lo and norms[hi - 1] < CANONICAL_EPS:
-            hi -= 1
-        if lo == hi:
-            zero = np.zeros((n, n), dtype=complex)
-            zero.flags.writeable = False
-            return MatLaurentPoly(n, 0, (zero,))
-        kept = []
-        for m in mats[lo:hi]:
-            m = m.copy()
-            m.flags.writeable = False
-            kept.append(m)
-        return MatLaurentPoly(n, min_deg + lo, tuple(kept))
+        arr = np.array(mats, dtype=complex)
+        if arr.ndim != 3 or not len(arr) or arr.shape[1] != arr.shape[2]:
+            raise DimensionMismatchError(
+                f"need a nonempty stack of square matrices of one size, got shape {arr.shape}"
+            )
+        lo, kept = _trim_ends(min_deg, arr)
+        if not len(kept):
+            kept = np.zeros_like(arr[:1])
+        kept.flags.writeable = False
+        return MatLaurentPoly(arr.shape[1], lo, kept)
 
     @staticmethod
     def from_constant(mat: np.ndarray) -> "MatLaurentPoly":
@@ -325,8 +334,8 @@ class MatLaurentPoly:
             for j in range(n):
                 p = polys[i][j]
                 if not p.is_zero:
-                    mats[p.min_deg - lo : p.max_deg - lo + 1, i, j] = p.coeffs
-        return MatLaurentPoly.from_coeffs(lo, list(mats))
+                    mats[p.min_deg - lo : p.max_deg - lo + 1, i, j] = p.data
+        return MatLaurentPoly.from_coeffs(lo, mats)
 
     # -- structure ---------------------------------------------------------
 
@@ -340,10 +349,10 @@ class MatLaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return all(np.max(np.abs(m)) < CANONICAL_EPS for m in self.coeffs)
+        return bool(np.all(np.abs(self.coeffs) < CANONICAL_EPS))
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self.min_deg, [m[i, j] for m in self.coeffs])
+        return LaurentPoly.from_coeffs(self.min_deg, self.coeffs[:, i, j])
 
     def coeff(self, degree: int) -> np.ndarray:
         if degree < self.min_deg or degree > self.max_deg:
@@ -363,39 +372,37 @@ class MatLaurentPoly:
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
         out = np.zeros((hi - lo + 1, self.n, self.n), dtype=complex)
-        out[self.min_deg - lo : self.max_deg - lo + 1] += np.stack(self.coeffs)
-        out[other.min_deg - lo : other.max_deg - lo + 1] += np.stack(other.coeffs)
-        return MatLaurentPoly.from_coeffs(lo, list(out))
+        out[self.min_deg - lo : self.max_deg - lo + 1] += self.coeffs
+        out[other.min_deg - lo : other.max_deg - lo + 1] += other.coeffs
+        return MatLaurentPoly.from_coeffs(lo, out)
 
     def __neg__(self) -> "MatLaurentPoly":
-        return MatLaurentPoly.from_coeffs(self.min_deg, [-m for m in self.coeffs])
+        return MatLaurentPoly.from_coeffs(self.min_deg, -self.coeffs)
 
     def __sub__(self, other: "MatLaurentPoly") -> "MatLaurentPoly":
         return self + (-other)
 
     def __mul__(self, other):
+        """Coefficient convolution out[a + b] = sum_a A_a @ B_b (A_a * b_b for
+        a scalar polynomial), one batched product per coefficient of the right
+        operand.  Taking b downward adds the terms of each out[k] in increasing
+        a, and A_a stays the left factor of each product: numpy's complex
+        multiply is not bitwise commutative, so this fixes the rounding."""
+        if isinstance(other, (int, float, complex)):
+            return MatLaurentPoly.from_coeffs(self.min_deg, other * self.coeffs)
         if isinstance(other, MatLaurentPoly):
             self._require_same_dim(other)
-            out = np.zeros(
-                (self.span + other.span + 1, self.n, self.n), dtype=complex
-            )
-            for a, ma in enumerate(self.coeffs):
-                for b, mb in enumerate(other.coeffs):
-                    out[a + b] += ma @ mb
-            return MatLaurentPoly.from_coeffs(self.min_deg + other.min_deg, list(out))
-        if isinstance(other, LaurentPoly):
+            rhs, product = other.coeffs, np.matmul
+        elif isinstance(other, LaurentPoly):
             if other.is_zero:
                 return MatLaurentPoly.from_constant(np.zeros((self.n, self.n)))
-            out = np.zeros((self.span + other.span + 1, self.n, self.n), dtype=complex)
-            for a, ma in enumerate(self.coeffs):
-                for b, cb in enumerate(other.coeffs):
-                    out[a + b] += ma * cb
-            return MatLaurentPoly.from_coeffs(self.min_deg + other.min_deg, list(out))
-        if isinstance(other, (int, float, complex)):
-            return MatLaurentPoly.from_coeffs(
-                self.min_deg, [other * m for m in self.coeffs]
-            )
-        return NotImplemented
+            rhs, product = other.data, np.multiply
+        else:
+            return NotImplemented
+        out = np.zeros((self.span + len(rhs), self.n, self.n), dtype=complex)
+        for b in range(len(rhs) - 1, -1, -1):
+            out[b : b + len(self.coeffs)] += product(self.coeffs, rhs[b])
+        return MatLaurentPoly.from_coeffs(self.min_deg + other.min_deg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, LaurentPoly)):
@@ -404,7 +411,7 @@ class MatLaurentPoly:
 
     def adjoint(self) -> "MatLaurentPoly":
         """A*(z) = sum conj(A_k).T z**(-k); pointwise conjugate transpose on |z|=1."""
-        mats = [np.conj(m).T for m in reversed(self.coeffs)]
+        mats = np.conj(self.coeffs[::-1]).transpose(0, 2, 1)
         return MatLaurentPoly.from_coeffs(-self.max_deg, mats)
 
     def determinant(self) -> LaurentPoly:
@@ -418,7 +425,7 @@ class MatLaurentPoly:
 
     def eval(self, z: complex) -> np.ndarray:
         acc = np.zeros((self.n, self.n), dtype=complex)
-        for m in reversed(self.coeffs):
+        for m in self.coeffs[::-1]:
             acc = acc * z + m
         return acc * z ** self.min_deg
 
@@ -431,13 +438,7 @@ class MatLaurentPoly:
     # -- io ------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "min_deg": self.min_deg,
-            "coeffs": [
-                [[[v.real, v.imag] for v in row] for row in m] for m in self.coeffs
-            ],
-        }
+        return {"n": self.n, "min_deg": self.min_deg, "coeffs": _re_im_pairs(self.coeffs)}
 
     @staticmethod
     def from_json(obj: dict) -> "MatLaurentPoly":
@@ -476,7 +477,7 @@ def is_unitary_on_torus(
 def _vanishing_floor(p: LaurentPoly) -> float:
     """|p| at or below this counts as zero on the torus: 1e-9 * sum_k |c_k|,
     a fraction of the bound sum_k |c_k| >= max |p| there."""
-    return 1e-9 * float(np.sum(np.abs(p.coeff_array())))
+    return 1e-9 * float(np.sum(np.abs(p.data)))
 
 
 def winding_number(p: LaurentPoly, grid_size: int = DEFAULT_GRID) -> int:

@@ -350,7 +350,7 @@ def build_big_unitary(bank: FilterBank) -> np.ndarray:
     m0, m1 = bank.filters
     if m0.is_zero or m0.min_deg != 0:
         raise ValueError("low-pass filter must be supported on exactly 0..2n+1")
-    taps = len(m0.coeffs)
+    taps = len(m0.data)
     if taps < 4 or taps % 2 != 0:
         raise ValueError(
             f"need exactly 2n+2 taps with n >= 1; got {taps} low-pass taps"

@@ -110,20 +110,12 @@ class TransferSpec:
 def transfer_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
     """(R_W f)_n = sum_k c_{N n - k} f_k, exact in coefficients.
 
-    Sampled on the torus this equals (1/N) sum_{w^N = z} W(w) f(w).
+    Sampled on the torus this equals (1/N) sum_{w^N = z} W(w) f(w).  The
+    sum is coefficient N n of the product W f, read by one strided slice.
     """
-    if spec.w.is_zero or f.is_zero:
-        return LaurentPoly.zero()
-    c, g, n = spec.w, f, spec.scale_n
-    lo = math.ceil((c.min_deg + g.min_deg) / n)
-    hi = math.floor((c.max_deg + g.max_deg) / n)
-    if lo > hi:
-        return LaurentPoly.zero()
-    out = [
-        sum(c.coeff(n * m - k) * g.coeff(k) for k in range(g.min_deg, g.max_deg + 1))
-        for m in range(lo, hi + 1)
-    ]
-    return LaurentPoly.from_coeffs(lo, out)
+    p, n = spec.w * f, spec.scale_n
+    lo = -(-p.min_deg // n)  # least m with N m >= min_deg(W f)
+    return LaurentPoly.from_coeffs(lo, p.data[n * lo - p.min_deg :: n])
 
 
 def subdivision_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
@@ -140,8 +132,8 @@ def transfer_matrix(spec: TransferSpec) -> np.ndarray:
     if spec.w.is_zero:
         return out
     pos = spec.scale_n * modes[:, None] - modes[None, :] - spec.w.min_deg
-    inside = (pos >= 0) & (pos < len(spec.w.coeffs))
-    out[inside] = spec.w.coeff_array()[pos[inside]]
+    inside = (pos >= 0) & (pos < len(spec.w.data))
+    out[inside] = spec.w.data[pos[inside]]
     return out
 
 
@@ -219,7 +211,7 @@ def _weight_series(bank: FilterBank) -> tuple:
     cos_c = 2 * half.real
     cos_c[0] = half[0].real
     sin_c = 2 * half.imag[1:]
-    noise = 2 * len(bank.lowpass.coeffs) * np.finfo(float).eps * cos_c[0]
+    noise = 2 * len(bank.lowpass.data) * np.finfo(float).eps * cos_c[0]
     if np.max(np.abs(sin_c), initial=0.0) <= noise:
         return cos_c, None
     return cos_c, sin_c
@@ -536,7 +528,7 @@ def per_exact(bank: FilterBank) -> Optional[ExactPer]:
     gap, or when the cycle constraints do not determine a.
     """
     n = bank.scale_n
-    grid = max(DEFAULT_GRID, 2 * _polyphase_span(bank) + 1)
+    grid = max(DEFAULT_GRID, 2 * _polyphase_span(bank)[1] + 1)
     if not check_qmf(bank, grid).passed:
         return None
     if abs(abs(bank.lowpass.eval(1.0)) ** 2 - n) > DEFAULT_TOL * n:

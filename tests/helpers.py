@@ -74,6 +74,13 @@ def random_poly(rng, min_deg_range=(-2, 2), length_range=(1, 3), complex_coeffs=
     return LaurentPoly.from_coeffs(lo, coeffs)
 
 
+def random_matrix_poly(rng, n, min_deg_range=(-3, 4), length_range=(1, 6)):
+    lo = int(rng.integers(*min_deg_range))
+    length = int(rng.integers(length_range[0], length_range[1] + 1))
+    mats = rng.normal(size=(length, n, n)) + 1j * rng.normal(size=(length, n, n))
+    return MatLaurentPoly.from_coeffs(lo, mats)
+
+
 def random_lifting_steps(rng, n_steps=6, min_deg_range=(-1, 2), max_len=2):
     steps = [LiftingStep("diag", k_const=complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)))]
     for i in range(n_steps):

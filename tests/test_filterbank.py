@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dft_projection_product,
@@ -99,6 +101,48 @@ class TestPolyphase:
         back = filters_from_polyphase(polyphase_from_filters(bank))
         for got, want in zip(back.filters, bank.filters):
             assert got.min_deg == want.min_deg and got.coeffs == want.coeffs
+
+    def test_round_trip_keeps_dust_inside_filters(self):
+        m0 = LaurentPoly.from_coeffs(0, [0.5, 1e-20, 0.5, 0.25])
+        m1 = LaurentPoly.from_coeffs(-1, [1e-20, 1.0, 0.0, -1e-300, 2.0])
+        bank = FilterBank(2, (m0, m1))
+        A = polyphase_from_filters(bank)
+        assert A.coeff(0)[0, 1] == 1e-20 and A.coeff(1)[1, 0] == -1e-300
+        back = filters_from_polyphase(A)
+        for got, want in zip(back.filters, bank.filters):
+            assert got.min_deg == want.min_deg and got.coeffs == want.coeffs
+
+
+_COEFF = st.sampled_from([0.0, -0.0, 1e-20, -1e-300, 0.25, -1.5j]) | st.complex_numbers(
+    max_magnitude=10.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _banks(draw):
+    """N = 2..6 filters of random min_deg and length, about a quarter zero."""
+    n = draw(st.integers(2, 6))
+    filters = tuple(
+        LaurentPoly.zero()
+        if draw(st.integers(0, 3)) == 0
+        else LaurentPoly.from_coeffs(
+            draw(st.integers(-9, 9)), draw(st.lists(_COEFF, min_size=1, max_size=14))
+        )
+        for _ in range(n)
+    )
+    return FilterBank(n, filters)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bank=_banks())
+def test_polyphase_is_the_index_rearrangement(bank):
+    """A[i, j]_k = m_i[N k + j] entry by entry, and the round trip is exact."""
+    n = bank.scale_n
+    A = polyphase_from_filters(bank)
+    for k in range(A.min_deg - 1, A.max_deg + 2):
+        want = [[m.coeff(n * k + j) for j in range(n)] for m in bank.filters]
+        assert np.array_equal(A.coeff(k), want)
+    assert filters_from_polyphase(A) == bank
 
 
 class TestQmf:

@@ -4,13 +4,15 @@ import pytest
 from helpers import (
     haar,
     random_four_tap_bank,
+    random_matrix_poly,
     random_partition,
+    random_poly,
     random_projection_bank,
     random_signal,
 )
 from wavebank.design import daubechies4
 from wavebank.filterbank import FilterBank, check_qmf, dual_filters
-from wavebank.laurent import LaurentPoly
+from wavebank.laurent import LaurentPoly, MatLaurentPoly
 from wavebank.operators import (
     InvalidPartitionError,
     PacketPartition,
@@ -105,6 +107,88 @@ class TestSignalStorage:
         assert c.offset == 1 and c.samples == (1e-300, 1.0)
         nan = Signal.from_samples(0, [np.nan, 0.0])
         assert nan.offset == 0 and len(nan.samples) == 1
+
+
+class TestLaurentStorage:
+    def test_stored_arrays_are_read_only(self):
+        p = LaurentPoly.from_coeffs(-1, np.array([1.0, 2.0 - 1j, 3.0]))
+        for q in (p, p.adjoint(), p * p, p.shift(2), -p):
+            with pytest.raises(ValueError):
+                q.data[0] = 5.0
+
+    def test_input_array_is_copied(self):
+        src = np.array([1.0, 2.0, 3.0], dtype=complex)
+        p = LaurentPoly.from_coeffs(0, src)
+        src[0] = 9.0
+        assert p.coeffs == (1.0, 2.0, 3.0)
+        mats = np.ones((2, 2, 2), dtype=complex)
+        A = MatLaurentPoly.from_coeffs(0, mats)
+        mats[0] = 9.0
+        assert np.array_equal(A.coeffs, np.ones((2, 2, 2)))
+
+    def test_equal_along_different_paths(self):
+        p = LaurentPoly.from_coeffs(-3, [1 + 2j, 0.5, -1j, 2.0])
+        others = (
+            p.adjoint().adjoint(),
+            p.shift(0),
+            LaurentPoly.from_coeffs(-4, [1e-16, 1 + 2j, 0.5, -1j, 2.0, 0.0]),
+            p + LaurentPoly.zero(),
+            LaurentPoly.from_json(p.to_json()),
+        )
+        for q in others:
+            assert p == q and hash(p) == hash(q)
+        assert len({p, *others}) == 1
+        assert p != p.shift(1) and p != p.scale(2.0)
+        assert LaurentPoly.from_coeffs(3, [0.0, 1e-15]) == LaurentPoly.zero()
+
+    def test_signed_zero_coefficients_hash_alike(self):
+        a = LaurentPoly.from_coeffs(0, [1.0, complex(-0.0, -0.0), 1.0])
+        b = LaurentPoly.from_coeffs(0, [1.0, 0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+
+    def test_nan_end_coefficients_are_kept(self):
+        p = LaurentPoly.from_coeffs(-1, [np.nan, 1.0, 1e-20])
+        assert p.min_deg == -1 and p.span == 1 and np.isnan(p.data[0])
+        mats = np.zeros((3, 2, 2))
+        mats[2, 1, 0] = np.nan
+        A = MatLaurentPoly.from_coeffs(0, mats)
+        assert A.min_deg == 2 and A.span == 0 and not A.is_zero
+
+    def test_matrix_coeffs_are_one_read_only_array(self):
+        A = MatLaurentPoly.from_coeffs(-1, [np.eye(3), np.ones((3, 3)), 2 * np.eye(3)])
+        for B in (A, A * A, A.adjoint(), A + A, A * LaurentPoly.monomial(2, 1j)):
+            assert isinstance(B.coeffs, np.ndarray)
+            assert B.coeffs.shape == (B.span + 1, 3, 3)
+            with pytest.raises(ValueError):
+                B.coeffs[0, 0, 0] = 5.0
+
+    def test_matrix_product_matches_double_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            A = random_matrix_poly(rng, n)
+            B = random_matrix_poly(rng, n)
+            want = np.zeros((A.span + B.span + 1, n, n), dtype=complex)
+            for a, ma in enumerate(A.coeffs):
+                for b, mb in enumerate(B.coeffs):
+                    want[a + b] += ma @ mb
+            got = A * B
+            assert got.min_deg == A.min_deg + B.min_deg
+            assert np.array_equal(got.coeffs, want)
+
+    def test_scalar_polynomial_product_matches_double_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            A = random_matrix_poly(rng, n)
+            p = random_poly(rng, length_range=(1, 6))
+            want = np.zeros((A.span + p.span + 1, n, n), dtype=complex)
+            for a, ma in enumerate(A.coeffs):
+                for b, cb in enumerate(p.coeffs):
+                    want[a + b] += ma * cb
+            for got in (A * p, p * A):
+                assert got.min_deg == A.min_deg + p.min_deg
+                assert np.array_equal(got.coeffs, want)
 
 
 class TestAnalyzeSynthesize:
