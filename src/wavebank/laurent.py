@@ -281,7 +281,7 @@ def _re_im_pairs(arr: np.ndarray) -> list:
     return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatLaurentPoly:
     """Square-matrix-valued Laurent polynomial A(z) = sum_k A_k z**(min_deg+k).
 
@@ -338,6 +338,19 @@ class MatLaurentPoly:
         return MatLaurentPoly.from_coeffs(lo, mats)
 
     # -- structure ---------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, MatLaurentPoly):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.min_deg == other.min_deg
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.n, self.min_deg, (self.coeffs + 0.0).tobytes()))
 
     @property
     def max_deg(self) -> int:

@@ -296,13 +296,14 @@ def packet_decompose(
     (k, n) are (k+1, n*N + band), so leaf index blocks stay contiguous."""
     partition.validate(bank.scale_n)
     n_bands = bank.scale_n
+    max_depth = partition.depth  # scans every leaf: read it once
     out: Dict[Tuple[int, int], Signal] = {}
 
     def walk(signal: Signal, depth: int, index: int) -> None:
         if (depth, index) in partition.leaves:
             out[(depth, index)] = signal
             return
-        if depth >= partition.depth:
+        if depth >= max_depth:
             return
         for band, piece in enumerate(analyze(signal, bank)):
             walk(piece, depth + 1, index * n_bands + band)
@@ -318,11 +319,12 @@ def packet_reconstruct(
 ) -> Signal:
     partition.validate(bank.scale_n)
     n_bands = bank.scale_n
+    max_depth = partition.depth  # scans every leaf: read it once
 
     def build(depth: int, index: int) -> Signal:
         if (depth, index) in partition.leaves:
             return leaf_map.get((depth, index), Signal.zero())
-        if depth >= partition.depth:
+        if depth >= max_depth:
             return Signal.zero()
         children = [
             build(depth + 1, index * n_bands + band) for band in range(n_bands)

@@ -4,6 +4,8 @@ agreement of the bulk reader with the row-by-row parser."""
 import cmath
 import csv
 import json
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -265,8 +267,51 @@ FIXED2_EDGES = [
 ]
 
 
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _neighbours(x: float, step: int) -> float:
+    for _ in range(abs(step)):
+        x = math.nextafter(x, math.copysign(math.inf, step))
+    return x
+
+
+# the float64 kernel's hard cases: any bit pattern (NaN, infinities and
+# subnormals included), signed zeros, powers of two (where the lower
+# neighbour is nearer) and of ten with their neighbours, both sides of
+# repr's switches to scientific notation, and integers beyond 2**53
+REPR_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.builds(
+        _neighbours,
+        st.one_of(
+            st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+            st.integers(-323, 308).map(lambda e: float(f"1e{e}")),
+            st.sampled_from([1e-4, 1e16]),
+        ),
+        st.integers(-2, 2),
+    ),
+    st.floats(0.9e-4, 1.1e-4),
+    st.floats(0.9e16, 1.1e16),
+    st.integers(-(2**80), 2**80).map(float),
+)
+
+
 class TestExactText:
     """The numpy text paths against repr, "%.2f" and the row writers."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(REPR_VALUES, st.booleans()), min_size=1, max_size=50))
+    def test_repr_frame_matches_repr(self, values):
+        a = np.array([-x if negate else x for x, negate in values])
+        assert fileio._frame_cells(fileio._repr_frame(a)) == list(map(repr, a.tolist()))
+
+    def test_repr_frame_on_random_bit_patterns(self):
+        rng = np.random.default_rng(2020)
+        a = rng.integers(0, 2**64, 2**16, dtype=np.uint64).view(np.float64)
+        assert fileio._frame_cells(fileio._repr_frame(a)) == list(map(repr, a.tolist()))
 
     def test_fixed2_edges(self):
         want = ["%.2f" % v for v in FIXED2_EDGES]
@@ -341,6 +386,65 @@ class TestExactText:
         write_svg_polyline(g.x(), g.data.real, tmp_path / "p.svg")
         want = _reference_svg_bytes(g.x(), g.data.real)
         assert (tmp_path / "p.svg").read_bytes() == want
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_frame_threshold_edges(self, tmp_path, step):
+        # below the threshold a block takes the row path, from it the frames
+        n = fileio._FRAME_ROWS + step
+        rng = np.random.default_rng(n)
+        sig = random_signal(rng, n, offset=-(n // 2))
+        write_signal_csv(sig, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _reference_signal_bytes(sig, tmp_path / "r.csv")
+        g = GridFunction.from_values(14, -(n // 3), sig.data * 10.0 ** rng.integers(-8, 8, n))
+        write_grid_csv(g, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == _reference_grid_bytes(g, tmp_path / "r.csv")
+
+    def test_frame_block_with_special_cells(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 2 * fileio._FRAME_ROWS
+        special = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e-5, -1.5e300,
+                   1e16, 1.2345678901234568e17, 0.0, -0.0, 1e-4, 9999999999999998.0]
+        re = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+        im = rng.normal(size=n)
+        re[1 : 1 + len(special)] = special
+        im[-1 - len(special) : -1] = special
+        data = np.empty(n, dtype=complex)
+        data.real, data.imag = re, im
+        for sig in (Signal.from_samples(-3, data), Signal.from_samples(2**62, data)):
+            write_signal_csv(sig, tmp_path / "s.csv")
+            want = _reference_signal_bytes(sig, tmp_path / "r.csv")
+            assert (tmp_path / "s.csv").read_bytes() == want
+        g = GridFunction.from_values(3, 5, data)
+        write_grid_csv(g, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == _reference_grid_bytes(g, tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("imag", ["+0.0", "one -0.0", "all zero"])
+    def test_frame_blocks_of_real_values(self, tmp_path, imag):
+        # an all-+0.0 part of a frame block is "0.0" repeated; -0.0 is not +0.0
+        rng = np.random.default_rng(10)
+        n = fileio._FRAME_ROWS + 3
+        data = np.zeros(n, dtype=complex)
+        if imag != "all zero":
+            data.real = rng.normal(size=n)
+        if imag == "one -0.0":
+            data.imag[n // 2] = -0.0
+        g = GridFunction.from_values(4, -7, data)
+        write_grid_csv(g, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == _reference_grid_bytes(g, tmp_path / "r.csv")
+        sig = Signal.from_samples(11, data)
+        write_signal_csv(sig, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _reference_signal_bytes(sig, tmp_path / "r.csv")
+
+    @pytest.mark.parametrize(
+        "offset",
+        [-(10**18) + 1, 10**18 - fileio._FRAME_ROWS, 10**18 - fileio._FRAME_ROWS + 1, 2**63],
+    )
+    def test_index_digits_near_the_int64_limit(self, tmp_path, offset):
+        # indices from 10**18 on take the row path
+        rng = np.random.default_rng(9)
+        sig = random_signal(rng, fileio._FRAME_ROWS, offset=offset)
+        write_signal_csv(sig, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _reference_signal_bytes(sig, tmp_path / "r.csv")
 
     def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch):
         calls = []

@@ -162,6 +162,24 @@ class TestLaurentStorage:
             with pytest.raises(ValueError):
                 B.coeffs[0, 0, 0] = 5.0
 
+    def test_matrix_equality_and_hash_are_by_value(self):
+        # comparing the dataclass's array field with == raised ValueError
+        A = MatLaurentPoly.identity(2)
+        assert A == MatLaurentPoly.identity(2)
+        assert hash(A) == hash(MatLaurentPoly.identity(2))
+        mats = [np.eye(2), np.array([[1.0, complex(-0.0, -0.0)], [2j, 0.5]])]
+        B = MatLaurentPoly.from_coeffs(-1, mats)
+        others = (
+            B.adjoint().adjoint(),
+            B + MatLaurentPoly.from_constant(np.zeros((2, 2))),
+            MatLaurentPoly.from_coeffs(-2, [1e-16 * np.eye(2), *mats]),
+        )
+        for C in others:
+            assert B == C and hash(B) == hash(C)
+        assert len({B, *others}) == 1
+        assert A != MatLaurentPoly.identity(3)
+        assert B != B * LaurentPoly.monomial(1) and A != LaurentPoly.one()
+
     def test_matrix_product_matches_double_loop(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
