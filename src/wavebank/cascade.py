@@ -1,6 +1,7 @@
 """Scaling and wavelet functions on dyadic grids.
 
-The cascade iteration runs on a fixed fine grid 2**(-J) * Z: since
+A `GridFunction` is a `laurent.Block` of samples on the grid 2**(-J) * Z,
+kept untrimmed.  The cascade iteration runs on that fixed fine grid: since
 N * (i * 2**-J) - n lands back on the grid, the refinement step
 (M_a g)(x) = sqrt(N) * sum_n a_n g(N x - n) is exact index arithmetic, no
 resampling.  Iterates are rescaled after every step so the Riemann sum is 1,
@@ -26,24 +27,23 @@ import numpy as np
 
 from .defaults import CASCADE_TOL, ITERS, J_LEVEL, K_TERMS
 from .filterbank import FilterBank
-from .laurent import LaurentPoly, frozen_vector
+from .laurent import Block, LaurentPoly, frozen_vector
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(Block):
     """Samples on the grid 2**(-j_level) * Z over a finite support block.
 
-    data[i] is the sample at grid index support_lo + i, held in one read-only
-    complex ndarray that operations use and share without copying; `values`
-    is its tuple-of-complex view.  support_hi = support_lo + len(data) - 1.
-    Build grid functions with `from_values`, which copies and freezes its
-    input.  Equality and hashing compare the level, the support and the
-    sample values.
+    A `Block` whose offset is support_lo: data[i] is the sample at grid index
+    support_lo + i, and `values` is the tuple-of-complex view of `data`.
+    support_hi = support_lo + len(data) - 1.  Build grid functions with
+    `from_values`, which copies and freezes its input and trims nothing.
+    Equality and hashing also compare the level.
     """
 
     j_level: int
-    support_lo: int
-    data: np.ndarray
+
+    _key = ("j_level",)
 
     def __post_init__(self):
         if self.j_level < 0:
@@ -51,28 +51,18 @@ class GridFunction:
 
     @staticmethod
     def from_values(j_level: int, support_lo: int, values) -> "GridFunction":
-        return GridFunction(j_level, support_lo, frozen_vector(values))
+        return GridFunction(support_lo, frozen_vector(values), j_level)
+
+    values = Block.terms
+    at_index = Block.at
+
+    @property
+    def support_lo(self) -> int:
+        return self.offset
 
     @property
     def support_hi(self) -> int:
-        return self.support_lo + len(self.data) - 1
-
-    @property
-    def values(self) -> tuple:
-        return tuple(self.data.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, GridFunction):
-            return NotImplemented
-        return (
-            self.j_level == other.j_level
-            and self.support_lo == other.support_lo
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which compares equal to it
-        return hash((self.j_level, self.support_lo, (self.data + 0.0).tobytes()))
+        return self.end - 1
 
     @staticmethod
     def box(j_level: int) -> "GridFunction":
@@ -91,11 +81,6 @@ class GridFunction:
         """Left endpoints of the grid cells."""
         return np.arange(self.support_lo, self.support_hi + 1) * self.step
 
-    def at_index(self, i: int) -> complex:
-        if i < self.support_lo or i > self.support_hi:
-            return 0.0 + 0.0j
-        return complex(self.data[i - self.support_lo])
-
     def riemann_sum(self) -> complex:
         return complex(np.sum(self.value_array()) * self.step)
 
@@ -113,32 +98,26 @@ class GridFunction:
     def translate(self, integer_shift: int) -> "GridFunction":
         """Shift by an integer (in function units, i.e. 2**j_level grid steps)."""
         shift = integer_shift << self.j_level
-        return GridFunction(self.j_level, self.support_lo + shift, self.data)
+        return GridFunction(self.support_lo + shift, self.data, self.j_level)
 
     def is_trivial(self) -> bool:
         return not np.any(self.value_array())
 
 
-def _aligned(a: GridFunction, b: GridFunction) -> tuple[np.ndarray, np.ndarray, int]:
+def _aligned(a: GridFunction, b: GridFunction) -> tuple[int, np.ndarray, np.ndarray]:
     if a.j_level != b.j_level:
         raise ValueError("grid levels differ")
-    lo = min(a.support_lo, b.support_lo)
-    hi = max(a.support_hi, b.support_hi)
-    va = np.zeros(hi - lo + 1, dtype=complex)
-    vb = np.zeros(hi - lo + 1, dtype=complex)
-    va[a.support_lo - lo : a.support_hi - lo + 1] = a.data
-    vb[b.support_lo - lo : b.support_hi - lo + 1] = b.data
-    return va, vb, lo
+    return a.padded(b)
 
 
 def l2_difference(a: GridFunction, b: GridFunction) -> float:
-    va, vb, _ = _aligned(a, b)
+    _, va, vb = _aligned(a, b)
     return float(np.sqrt(np.sum(np.abs(va - vb) ** 2) * a.step))
 
 
 def grid_inner(a: GridFunction, b: GridFunction) -> complex:
     """<a, b> = sum conj(a) b * 2**-J on the common grid."""
-    va, vb, _ = _aligned(a, b)
+    _, va, vb = _aligned(a, b)
     return complex(np.sum(np.conj(va) * vb) * a.step)
 
 
@@ -156,8 +135,7 @@ def _band_step(coeffs: LaurentPoly, scale_n: int, g: GridFunction) -> GridFuncti
     vals = g.value_array()
     root = math.sqrt(scale_n)
     i = np.arange(out_lo, out_hi + 1)
-    for n in range(n_lo, n_hi + 1):
-        c = coeffs.coeff(n)
+    for n, c in enumerate(coeffs.coeffs, n_lo):
         if c == 0:
             continue
         src = scale_n * i - n * unit

@@ -192,14 +192,7 @@ def _cmd_pyramid(args) -> int:
 
 
 def _cmd_packets(args) -> int:
-    _require_range("--depth", args.depth, 1, defaults.MAX_DEPTH)
-    bank = _load_bank(args.bank)
-    if not args.partition and bank.scale_n**args.depth > 2**defaults.MAX_DEPTH:
-        raise ValueError(
-            f"--depth {args.depth} makes {bank.scale_n}**{args.depth} leaves, "
-            f"more than {2**defaults.MAX_DEPTH}"
-        )
-    signal = read_signal_csv(args.signal)
+    partition = None
     if args.partition:
         obj = load_json(args.partition)
         try:
@@ -208,8 +201,19 @@ def _cmd_packets(args) -> int:
             raise InputFormatError(
                 f"{args.partition}: expected {{'leaves': [[k, n], ...]}} ({exc})"
             ) from exc
-    else:
-        partition = PacketPartition.full(args.depth, bank.scale_n)
+    # from either source, the depth sizes the leaves and validate's counters
+    option = "--depth" if partition is None else f"the depth of {args.partition}"
+    depth = args.depth if partition is None else partition.depth
+    _require_range(option, depth, 1, defaults.MAX_DEPTH)
+    bank = _load_bank(args.bank)
+    if bank.scale_n**depth > 2**defaults.MAX_DEPTH:
+        raise ValueError(
+            f"{option} {depth} allows {bank.scale_n}**{depth} leaves, "
+            f"more than {2**defaults.MAX_DEPTH}"
+        )
+    signal = read_signal_csv(args.signal)
+    if partition is None:
+        partition = PacketPartition.full(depth, bank.scale_n)
     leaf_map = packet_decompose(signal, bank, partition)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)

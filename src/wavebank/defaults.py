@@ -14,7 +14,8 @@ N_MAX                10**4    periodization fallback truncation (the sum is
 K_TERMS              40       factors kept in the infinite-product transform
 PF_TOL               1e-7     peripheral-spectrum tolerance
 MAX_J                16       largest cascade --j
-MAX_DEPTH            12       largest packets --depth (and at most 2**12 leaves)
+MAX_DEPTH            12       largest packets depth, from --depth or a partition
+                              file (and at most 2**12 leaves)
 MAX_LEVELS           32       largest pyramid --levels
 MAX_GRID             2**16    largest --grid (design, verify)
 MAX_BANKS            10**4    largest verify --random-banks

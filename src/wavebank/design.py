@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .filterbank import FilterBank, filters_from_polyphase
-from .laurent import LaurentPoly, MatLaurentPoly
+from .laurent import LaurentPoly, MatLaurentPoly, _trim_ends
 
 V_HAAR = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -269,15 +269,7 @@ def _is_effectively_zero(p: LaurentPoly) -> bool:
 def _strip_relative_dust(p: LaurentPoly, scale: float) -> LaurentPoly:
     """Trim end coefficients below 1e-13 * scale so rounding dust left over
     from earlier cancellations can never be promoted to a division pivot."""
-    if p.is_zero or scale == 0.0:
-        return p
-    arr = p.coeff_array()
-    keep = np.abs(arr) >= 1e-13 * scale
-    if not keep.any():
-        return LaurentPoly.zero()
-    lo = int(np.argmax(keep))
-    hi = len(arr) - int(np.argmax(keep[::-1]))
-    return LaurentPoly.from_coeffs(p.min_deg + lo, arr[lo:hi])
+    return LaurentPoly.from_coeffs(*_trim_ends(p.min_deg, p.data, 1e-13 * scale))
 
 
 def _monomial_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

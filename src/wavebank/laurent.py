@@ -1,12 +1,14 @@
 """Coefficient algebra for scalar and matrix Laurent polynomials on the torus.
 
-A Laurent polynomial is stored as the exponent of its lowest term together
-with one read-only complex ndarray of coefficients: shape (span + 1,) for
-`LaurentPoly`, (span + 1, n, n) for `MatLaurentPoly`.  Arithmetic is exact
-coefficient arithmetic (complex doubles) on those arrays; `from_coeffs`, the
-one constructor, trims end terms of modulus below ``CANONICAL_EPS`` (a matrix
-term by its largest entry) so degree bookkeeping stays stable after round
-trips.
+`Block`, an integer offset plus one read-only complex ndarray, represents
+every finitely supported sequence in the package (these polynomials,
+`operators.Signal`, `cascade.GridFunction`) and owns their equality, hashing,
+index lookup and zero padding; `_trim_ends` is their one end trim.  A
+polynomial's offset is its lowest exponent and its array has shape
+(span + 1,), or (span + 1, n, n) for `MatLaurentPoly`.  Arithmetic is exact
+coefficient arithmetic (complex doubles); `from_coeffs`, the one constructor,
+trims end terms of modulus below ``CANONICAL_EPS`` (a matrix term by its
+largest entry) so degree bookkeeping stays stable after round trips.
 
 Every torus grid is sampled by one FFT (`sample_torus`).  Determinants and FIR
 inverses, Laurent polynomials of known span, are taken pointwise on a grid
@@ -76,41 +78,113 @@ def frozen_vector(values) -> np.ndarray:
     return arr
 
 
-def _trim_ends(min_deg: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
-    """(min_deg, arr) without the end terms of modulus below CANONICAL_EPS,
-    a matrix term measured by its largest entry; NaN terms are kept.  When
-    no term is kept the view is empty and min_deg is 0."""
-    small = np.abs(arr) < CANONICAL_EPS
-    if arr.ndim > 1:
-        small = small.all(axis=(1, 2))
-    small = small.tolist()  # the scans below stop at the first kept term
-    lo, hi = 0, len(small)
-    while lo < hi and small[lo]:
-        lo += 1
-    while hi > lo and small[hi - 1]:
-        hi -= 1
-    if lo == hi:
+def _trim_ends(offset: int, arr: np.ndarray, floor: float) -> tuple[int, np.ndarray]:
+    """(offset, arr) without the end terms of modulus below floor, a matrix
+    term measured by its largest entry; a floor of 0 trims exact zeros only,
+    and NaN terms are kept.  When no term is kept the view is empty and
+    offset is 0.  The two end terms are tested first, as scalars (cheaper than
+    numpy calls at that size), so a vector with nothing to trim costs O(1)."""
+    terms = np.abs(arr).max(axis=tuple(range(1, arr.ndim))) if arr.ndim > 1 else arr
+    if not len(terms):
+        return 0, arr
+    first, last = terms[0], terms[-1]
+    if not (abs(first) < floor or first == 0 or abs(last) < floor or last == 0):
+        return offset, arr
+    keep = np.flatnonzero(~((np.abs(terms) < floor) | (terms == 0)))
+    if not len(keep):
         return 0, arr[:0]
-    return min_deg + lo, arr[lo:hi]
+    return offset + int(keep[0]), arr[keep[0] : keep[-1] + 1]
 
 
 @dataclass(frozen=True, eq=False)
-class LaurentPoly:
-    """m(z) = sum_k data[k] * z**(min_deg + k), finitely supported.
+class Block:
+    """Terms from an integer index on: data[i] sits at index offset + i.
 
-    The coefficients are one read-only complex ndarray, `data`, which
-    operations share without copying; `coeffs` is its tuple-of-complex view.
-    Build polynomials with `from_coeffs`, which copies, freezes and trims its
-    input.  The zero polynomial has an empty array and min_deg 0.  Equality
-    and hashing compare min_deg and the coefficient values.
+    `data` is one read-only complex ndarray, 1-D or a stack of matrices along
+    axis 0, which operations slice and share without copying.  Equality and
+    hashing compare the exact type, the offset, the fields named in `_key`,
+    the array shape and the values (-0.0 hashes like 0.0, which it equals).
     """
 
-    min_deg: int
+    offset: int
     data: np.ndarray
+
+    _key = ()  # further fields that equality and hashing compare
+
+    def _ident(self) -> tuple:
+        return (self.offset, *(getattr(self, k) for k in self._key))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._ident() == other._ident() and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((type(self), self._ident(), self.data.shape, (self.data + 0.0).tobytes()))
+
+    @property
+    def end(self) -> int:
+        """Index one past the last stored term."""
+        return self.offset + len(self.data)
+
+    @property
+    def is_zero(self) -> bool:
+        return not len(self.data)
+
+    @property
+    def span(self) -> int:
+        """Index of the last term minus that of the first; 0 when empty."""
+        return max(len(self.data) - 1, 0)
+
+    @property
+    def terms(self) -> tuple:
+        """`data` as a tuple of Python complex numbers."""
+        return tuple(self.data.tolist())
+
+    def at(self, index: int):
+        """The term at `index`, zero outside the stored block: a complex, or
+        a new array for a matrix term."""
+        k = index - self.offset
+        if 0 <= k < len(self.data):
+            return complex(self.data[k]) if self.data.ndim == 1 else np.array(self.data[k])
+        return 0j if self.data.ndim == 1 else np.zeros(self.data.shape[1:], dtype=complex)
+
+    def padded(self, other: "Block") -> tuple[int, np.ndarray, np.ndarray]:
+        """(lo, a, b): the data of self and other zero-padded onto their
+        common support lo..max(end) - 1.  The padding is added to, not
+        overwritten, so -0.0 terms come out as 0.0 and a + b rounds exactly
+        like the terms summed into one zero array."""
+        lo = min(self.offset, other.offset)
+        hi = max(self.end, other.end)
+        out = []
+        for block in (self, other):
+            arr = np.zeros((hi - lo,) + block.data.shape[1:], dtype=complex)
+            arr[block.offset - lo : block.end - lo] += block.data
+            out.append(arr)
+        return lo, out[0], out[1]
+
+    def upsampled(self, n: int) -> tuple[int, np.ndarray]:
+        """(n * offset, arr): the term at index k moved to index n * k, with
+        zeros in between (an empty block stays empty)."""
+        out = np.zeros(max(n * len(self.data) - n + 1, 0), dtype=complex)
+        out[::n] = self.data
+        return n * self.offset, out
+
+
+@dataclass(frozen=True, eq=False)
+class LaurentPoly(Block):
+    """m(z) = sum_k data[k] * z**(min_deg + k), finitely supported.
+
+    A `Block` whose offset is min_deg; `coeffs` is the tuple-of-complex view
+    of `data`.  Build polynomials with `from_coeffs`, which copies, freezes
+    and trims end terms of modulus below CANONICAL_EPS.  The zero polynomial
+    has an empty array and min_deg 0.
+    """
 
     @staticmethod
     def from_coeffs(min_deg: int, coeffs: Iterable[complex]) -> "LaurentPoly":
-        return LaurentPoly(*_trim_ends(min_deg, frozen_vector(coeffs)))
+        return LaurentPoly(*_trim_ends(min_deg, frozen_vector(coeffs), CANONICAL_EPS))
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -126,29 +200,18 @@ class LaurentPoly:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self.data.tolist())
+    coeffs = Block.terms
+    coeff = Block.at  # coefficient of z**degree (0 outside the stored block)
 
     @property
-    def is_zero(self) -> bool:
-        return not len(self.data)
+    def min_deg(self) -> int:
+        return self.offset
 
     @property
     def max_deg(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return self.min_deg + len(self.data) - 1
-
-    @property
-    def span(self) -> int:
-        """max_deg - min_deg; 0 for monomials and for the zero polynomial."""
-        return max(len(self.data) - 1, 0)
-
-    def coeff(self, degree: int) -> complex:
-        """Coefficient of z**degree (0 outside the stored block)."""
-        k = degree - self.min_deg
-        return complex(self.data[k]) if 0 <= k < len(self.data) else 0j
+        return self.end - 1
 
     def coeff_array(self) -> np.ndarray:
         return self.data
@@ -160,15 +223,6 @@ class LaurentPoly:
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.data), initial=0.0))
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.min_deg == other.min_deg and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which compares equal to it
-        return hash((self.min_deg, (self.data + 0.0).tobytes()))
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -178,12 +232,9 @@ class LaurentPoly:
             return other
         if other.is_zero:
             return self
-        lo = min(self.min_deg, other.min_deg)
-        hi = max(self.max_deg, other.max_deg)
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        out[self.min_deg - lo : self.max_deg - lo + 1] += self.data
-        out[other.min_deg - lo : other.max_deg - lo + 1] += other.data
-        return LaurentPoly.from_coeffs(lo, out)
+        lo, a, b = self.padded(other)
+        a += b
+        return LaurentPoly.from_coeffs(lo, a)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly.from_coeffs(self.min_deg, -self.data)
@@ -223,18 +274,13 @@ class LaurentPoly:
 
     def compose_power(self, n: int) -> "LaurentPoly":
         """p(z**n): exponents multiply by n (n >= 1)."""
-        if self.is_zero:
-            return self
-        out = np.zeros(self.span * n + 1, dtype=complex)
-        out[::n] = self.data
-        return LaurentPoly.from_coeffs(self.min_deg * n, out)
+        return LaurentPoly.from_coeffs(*self.upsampled(n))
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, z):
-        """Evaluate at z (scalar or ndarray); exact 0 for the zero polynomial."""
-        if self.is_zero:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 0.0 + 0.0j
+        """Evaluate at z (scalar or array-like); exact 0 for the zero
+        polynomial, in the shape of z."""
         z = np.asarray(z, dtype=complex)
         # Horner on the polynomial part, then restore the z**min_deg prefactor.
         acc = np.zeros_like(z)
@@ -282,18 +328,15 @@ def _re_im_pairs(arr: np.ndarray) -> list:
 
 
 @dataclass(frozen=True, eq=False)
-class MatLaurentPoly:
+class MatLaurentPoly(Block):
     """Square-matrix-valued Laurent polynomial A(z) = sum_k A_k z**(min_deg+k).
 
-    `coeffs` is one read-only complex ndarray of shape (span + 1, n, n),
-    coeffs[k] = A_k.  Build matrices with `from_coeffs`, which copies,
-    freezes and trims end matrices whose largest entry is below
-    CANONICAL_EPS; the zero matrix keeps one zero coefficient at degree 0.
+    A `Block` whose offset is min_deg and whose `data` (also `coeffs`) has
+    shape (span + 1, n, n), data[k] = A_k.  Build matrices with
+    `from_coeffs`, which copies, freezes and trims end matrices whose largest
+    entry is below CANONICAL_EPS; the zero matrix keeps one zero coefficient
+    at degree 0.
     """
-
-    n: int
-    min_deg: int
-    coeffs: np.ndarray
 
     @staticmethod
     def from_coeffs(min_deg: int, mats: Sequence[np.ndarray]) -> "MatLaurentPoly":
@@ -302,11 +345,11 @@ class MatLaurentPoly:
             raise DimensionMismatchError(
                 f"need a nonempty stack of square matrices of one size, got shape {arr.shape}"
             )
-        lo, kept = _trim_ends(min_deg, arr)
+        lo, kept = _trim_ends(min_deg, arr, CANONICAL_EPS)
         if not len(kept):
             kept = np.zeros_like(arr[:1])
         kept.flags.writeable = False
-        return MatLaurentPoly(arr.shape[1], lo, kept)
+        return MatLaurentPoly(lo, kept)
 
     @staticmethod
     def from_constant(mat: np.ndarray) -> "MatLaurentPoly":
@@ -322,55 +365,39 @@ class MatLaurentPoly:
         polys = [list(row) for row in entries]
         if any(len(row) != n for row in polys):
             raise DimensionMismatchError("entry grid must be square")
-        degs = [
-            (p.min_deg, p.max_deg) for row in polys for p in row if not p.is_zero
-        ]
-        if not degs:
-            return MatLaurentPoly.from_constant(np.zeros((n, n), dtype=complex))
-        lo = min(d[0] for d in degs)
-        hi = max(d[1] for d in degs)
-        mats = np.zeros((hi - lo + 1, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                p = polys[i][j]
-                if not p.is_zero:
-                    mats[p.min_deg - lo : p.max_deg - lo + 1, i, j] = p.data
+        live = [p for row in polys for p in row if not p.is_zero]
+        lo = min((p.offset for p in live), default=0)
+        hi = max((p.end for p in live), default=1)
+        mats = np.zeros((hi - lo, n, n), dtype=complex)
+        for i, row in enumerate(polys):
+            for j, p in enumerate(row):  # a zero entry stores no terms
+                mats[p.offset - lo : p.end - lo, i, j] = p.data
         return MatLaurentPoly.from_coeffs(lo, mats)
 
     # -- structure ---------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, MatLaurentPoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.min_deg == other.min_deg
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
+    min_deg = LaurentPoly.min_deg
+    coeff = Block.at  # new array A_degree (zeros outside the stored block)
 
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which compares equal to it
-        return hash((self.n, self.min_deg, (self.coeffs + 0.0).tobytes()))
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.data
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
 
     @property
     def max_deg(self) -> int:
-        return self.min_deg + len(self.coeffs) - 1
-
-    @property
-    def span(self) -> int:
-        return len(self.coeffs) - 1
+        return self.end - 1
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(np.abs(self.coeffs) < CANONICAL_EPS))
+        # the zero matrix keeps one zero term, so the stored block is not empty
+        return bool(np.all(np.abs(self.data) < CANONICAL_EPS))
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self.min_deg, self.coeffs[:, i, j])
-
-    def coeff(self, degree: int) -> np.ndarray:
-        if degree < self.min_deg or degree > self.max_deg:
-            return np.zeros((self.n, self.n), dtype=complex)
-        return np.array(self.coeffs[degree - self.min_deg])
+        return LaurentPoly.from_coeffs(self.min_deg, self.data[:, i, j])
 
     # -- algebra -----------------------------------------------------------
 
@@ -382,18 +409,14 @@ class MatLaurentPoly:
         if not isinstance(other, MatLaurentPoly):
             return NotImplemented
         self._require_same_dim(other)
-        lo = min(self.min_deg, other.min_deg)
-        hi = max(self.max_deg, other.max_deg)
-        out = np.zeros((hi - lo + 1, self.n, self.n), dtype=complex)
-        out[self.min_deg - lo : self.max_deg - lo + 1] += self.coeffs
-        out[other.min_deg - lo : other.max_deg - lo + 1] += other.coeffs
-        return MatLaurentPoly.from_coeffs(lo, out)
+        lo, a, b = self.padded(other)
+        a += b
+        return MatLaurentPoly.from_coeffs(lo, a)
 
     def __neg__(self) -> "MatLaurentPoly":
         return MatLaurentPoly.from_coeffs(self.min_deg, -self.coeffs)
 
-    def __sub__(self, other: "MatLaurentPoly") -> "MatLaurentPoly":
-        return self + (-other)
+    __sub__ = LaurentPoly.__sub__  # self + (-other)
 
     def __mul__(self, other):
         """Coefficient convolution out[a + b] = sum_a A_a @ B_b (A_a * b_b for

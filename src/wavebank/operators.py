@@ -1,8 +1,9 @@
 """Sequence-domain algorithms: sampling, subband analysis/synthesis, pyramids,
 wavelet packets, and the big unitary wavelet matrix.
 
-Signals are finitely supported sequences on the integers; convolutions grow
-support and nothing is periodized.  The subband operators use the unitary
+Signals are finitely supported sequences on the integers, each a
+`laurent.Block` trimmed of exact zeros at its ends; convolutions grow support
+and nothing is periodized.  The subband operators use the unitary
 normalization (a two-point Haar average is (a+b)/sqrt(2), not (a+b)/2): the
 function-side convention that splits f into halves carries an extra
 1/sqrt(2) from expanding in the unscaled dilate, while the sequence-side
@@ -29,32 +30,22 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .filterbank import FilterBank
-from .laurent import LaurentPoly, frozen_vector
+from .laurent import Block, LaurentPoly, _trim_ends, frozen_vector
 
 
 @dataclass(frozen=True, eq=False)
-class Signal:
+class Signal(Block):
     """Finite complex sequence; data[i] sits at integer index offset + i.
 
-    The samples are one read-only complex ndarray, `data`, which operations
-    slice and share without copying; `samples` is its tuple-of-complex view.
+    A `Block` whose `samples` is the tuple-of-complex view of `data`.
     Canonical form trims leading and trailing exact zeros (the all-zero
     signal has an empty array and offset 0).  Build signals with
-    `from_samples`, which copies, trims and freezes its input.  Equality and
-    hashing compare the offset and the sample values.
+    `from_samples`, which copies, trims and freezes its input.
     """
-
-    offset: int
-    data: np.ndarray
 
     @staticmethod
     def from_samples(offset: int, samples: Iterable[complex]) -> "Signal":
-        arr = frozen_vector(samples)
-        nonzero = np.flatnonzero(arr)
-        if not len(nonzero):
-            return Signal.zero()
-        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-        return Signal(offset + lo, arr[lo:hi])
+        return Signal(*_trim_ends(offset, frozen_vector(samples), 0.0))
 
     @staticmethod
     def zero() -> "Signal":
@@ -64,39 +55,12 @@ class Signal:
     def impulse(index: int = 0) -> "Signal":
         return Signal(index, frozen_vector((1.0,)))
 
-    @property
-    def samples(self) -> tuple:
-        return tuple(self.data.tolist())
-
-    @property
-    def is_zero(self) -> bool:
-        return not len(self.data)
-
-    @property
-    def end(self) -> int:
-        """Index one past the last stored sample."""
-        return self.offset + len(self.data)
+    samples = Block.terms
 
     def sample_array(self) -> np.ndarray:
         return self.data
 
-    def __eq__(self, other):
-        if not isinstance(other, Signal):
-            return NotImplemented
-        return self.offset == other.offset and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which compares equal to it
-        return hash((self.offset, (self.data + 0.0).tobytes()))
-
-    def at(self, index: int) -> complex:
-        if self.is_zero or index < self.offset or index >= self.end:
-            return 0.0 + 0.0j
-        return complex(self.data[index - self.offset])
-
     def energy(self) -> float:
-        if self.is_zero:
-            return 0.0
         return float(np.sum(np.abs(self.sample_array()) ** 2))
 
     def norm(self) -> float:
@@ -107,27 +71,20 @@ class Signal:
             return other
         if other.is_zero:
             return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.end, other.end)
-        out = np.zeros(hi - lo, dtype=complex)
-        out[self.offset - lo : self.end - lo] += self.data
-        out[other.offset - lo : other.end - lo] += other.data
-        return Signal.from_samples(lo, out)
+        lo, a, b = self.padded(other)
+        a += b
+        return Signal.from_samples(lo, a)
 
     def __sub__(self, other: "Signal") -> "Signal":
         return self + other.scale(-1.0)
 
     def scale(self, s: complex) -> "Signal":
-        if self.is_zero:
-            return self
         return Signal.from_samples(self.offset, s * self.sample_array())
 
 
 def inner(c: Signal, d: Signal) -> complex:
     """<c, d> = sum conj(c_n) d_n (exactly rounded, so adjointness identities
     hold bit-for-bit regardless of zero padding)."""
-    if c.is_zero or d.is_zero:
-        return 0.0 + 0.0j
     lo = max(c.offset, d.offset)
     hi = min(c.end, d.end)
     if lo >= hi:
@@ -142,11 +99,7 @@ def downsample(c: Signal, n: int) -> Signal:
     """Keep samples at indices divisible by n, re-indexed by /n."""
     if n < 2:
         raise ValueError("sampling factor must be >= 2")
-    if c.is_zero:
-        return c
-    first = c.offset + (-c.offset) % n
-    if first >= c.end:
-        return Signal.zero()
+    first = c.offset + (-c.offset) % n  # an empty slice makes the zero signal
     kept = c.sample_array()[first - c.offset :: n]
     return Signal.from_samples(first // n, kept)
 
@@ -155,11 +108,7 @@ def upsample(c: Signal, n: int) -> Signal:
     """Insert n-1 zeros between consecutive samples (index k -> n*k)."""
     if n < 2:
         raise ValueError("sampling factor must be >= 2")
-    if c.is_zero:
-        return c
-    out = np.zeros(n * (len(c.data) - 1) + 1, dtype=complex)
-    out[::n] = c.data
-    return Signal.from_samples(n * c.offset, out)
+    return Signal.from_samples(*c.upsampled(n))
 
 
 def convolve_poly(c: Signal, p: LaurentPoly) -> Signal:
@@ -266,15 +215,15 @@ class PacketPartition:
 
     @property
     def depth(self) -> int:
+        if not self.leaves:
+            raise InvalidPartitionError("partition has no leaves")
         return max(k for k, _ in self.leaves)
 
     def validate(self, scale_n: int) -> None:
-        if not self.leaves:
-            raise InvalidPartitionError("partition has no leaves")
+        d = self.depth
         for k, n in self.leaves:
             if k < 1 or n < 0 or n >= scale_n**k:
                 raise InvalidPartitionError(f"leaf {(k, n)} out of range for N={scale_n}")
-        d = self.depth
         counts = np.zeros(scale_n**d, dtype=int)
         for k, n in self.leaves:
             width = scale_n ** (d - k)

@@ -323,6 +323,28 @@ class TestOptionBounds:
         assert "more than 4096" in capsys.readouterr().err
         assert not (tmp_path / "leaves").exists()
 
+    @pytest.mark.parametrize("depth", [13, 10**6])
+    def test_partition_depth_bounded(self, tmp_path, d4_file, signal_file, capsys, depth):
+        # a depth-13 partition would write 4097 leaf files, and validating a
+        # deep one allocates N**depth counters
+        leaves = [[1, 1]] + [[depth, n] for n in range(2**12)]
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"leaves": leaves}))
+        argv = ["packets", str(d4_file), "--signal", str(signal_file[0]),
+                "--partition", str(part), "--out-dir", str(tmp_path / "leaves")]
+        assert main(argv) == 2
+        assert f"must be in 1..12, got {depth}" in capsys.readouterr().err
+        assert not (tmp_path / "leaves").exists()
+
+    def test_empty_partition_is_usage_error(self, tmp_path, d4_file, signal_file, capsys):
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"leaves": []}))
+        argv = ["packets", str(d4_file), "--signal", str(signal_file[0]),
+                "--partition", str(part), "--out-dir", str(tmp_path / "leaves")]
+        assert main(argv) == 2
+        assert "no leaves" in capsys.readouterr().err
+        assert not (tmp_path / "leaves").exists()
+
     def test_signal_index_spread_is_input_error(self, tmp_path, d4_file, capsys):
         # indices 0 and 10**12 would make a 16 TB signal; it is never allocated
         sig = tmp_path / "wide.csv"

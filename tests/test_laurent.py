@@ -25,6 +25,14 @@ class TestEval:
     def test_zero_polynomial(self):
         assert LaurentPoly.zero().eval(1j) == 0
 
+    @pytest.mark.parametrize("z", [[1.0, 2.0], np.array([1.0, 2.0]), 2.0])
+    def test_zero_polynomial_keeps_the_shape_of_z(self, z):
+        for p in (LaurentPoly.zero(), LaurentPoly.one()):
+            for value in (p.eval(z), p.eval_angle(z)):
+                assert np.shape(value) == np.shape(z)
+                assert isinstance(value, complex if np.ndim(z) == 0 else np.ndarray)
+        assert np.array_equal(LaurentPoly.zero().eval(z), np.zeros(np.shape(z)))
+
     def test_monomial(self):
         p = LaurentPoly.from_coeffs(1, [1.0])
         assert p.eval(-1.0) == pytest.approx(-1.0)
