@@ -53,6 +53,9 @@ class GridFunction(Block):
     def from_values(j_level: int, support_lo: int, values) -> "GridFunction":
         return GridFunction(support_lo, frozen_vector(values), j_level)
 
+    def _like(self, offset: int, arr: np.ndarray) -> "GridFunction":
+        return GridFunction.from_values(self.j_level, offset, arr)
+
     values = Block.terms
     at_index = Block.at
 
@@ -74,8 +77,7 @@ class GridFunction(Block):
     def step(self) -> float:
         return 2.0 ** (-self.j_level)
 
-    def value_array(self) -> np.ndarray:
-        return self.data
+    value_array = Block.array
 
     def x(self) -> np.ndarray:
         """Left endpoints of the grid cells."""
@@ -90,11 +92,6 @@ class GridFunction(Block):
     def l2_norm(self) -> float:
         return math.sqrt(self.l2_norm_sq())
 
-    def scale(self, s: complex) -> "GridFunction":
-        return GridFunction.from_values(
-            self.j_level, self.support_lo, s * self.value_array()
-        )
-
     def translate(self, integer_shift: int) -> "GridFunction":
         """Shift by an integer (in function units, i.e. 2**j_level grid steps)."""
         shift = integer_shift << self.j_level
@@ -104,20 +101,14 @@ class GridFunction(Block):
         return not np.any(self.value_array())
 
 
-def _aligned(a: GridFunction, b: GridFunction) -> tuple[int, np.ndarray, np.ndarray]:
-    if a.j_level != b.j_level:
-        raise ValueError("grid levels differ")
-    return a.padded(b)
-
-
 def l2_difference(a: GridFunction, b: GridFunction) -> float:
-    _, va, vb = _aligned(a, b)
+    _, va, vb = a.padded(b)
     return float(np.sqrt(np.sum(np.abs(va - vb) ** 2) * a.step))
 
 
 def grid_inner(a: GridFunction, b: GridFunction) -> complex:
     """<a, b> = sum conj(a) b * 2**-J on the common grid."""
-    _, va, vb = _aligned(a, b)
+    _, va, vb = a.padded(b)
     return complex(np.sum(np.conj(va) * vb) * a.step)
 
 

@@ -65,12 +65,18 @@ def _require_range(option: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{option} must be in {lo}..{hi}, got {value}")
 
 
-def _load_bank(path) -> FilterBank:
+def _parse_json(path, parse, expected: str):
+    """parse(the JSON object in path), any KeyError, TypeError or ValueError
+    reported as an input error: "path: expected (the exception)"."""
     obj = load_json(path)
     try:
-        return FilterBank.from_json(obj)
+        return parse(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: not a filter bank file ({exc})") from exc
+        raise InputFormatError(f"{path}: {expected} ({exc})") from exc
+
+
+def _load_bank(path) -> FilterBank:
+    return _parse_json(path, FilterBank.from_json, "not a filter bank file")
 
 
 def _cmd_design(args) -> int:
@@ -80,17 +86,14 @@ def _cmd_design(args) -> int:
     elif args.six_tap is not None:
         bank = six_tap_from_angles(args.six_tap[0], args.six_tap[1])
     elif args.projections:
-        obj = load_json(args.projections)
-        try:
-            params = [
+        params = _parse_json(
+            args.projections,
+            lambda obj: [
                 ProjectionParam(float(p["lambda"]), float(p["theta"]))
                 for p in obj["projections"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(
-                f"{args.projections}: expected {{'projections': "
-                f"[{{'lambda': .., 'theta': ..}}, ...]}} ({exc})"
-            ) from exc
+            ],
+            "expected {'projections': [{'lambda': .., 'theta': ..}, ...]}",
+        )
         bank = bank_from_projections(params)
     else:
         print("design: choose --projections, --daubechies4 or --six-tap", file=sys.stderr)
@@ -177,31 +180,23 @@ def _cmd_pyramid(args) -> int:
     bank = _load_bank(args.bank)
     signal = read_signal_csv(args.signal)
     dec = pyramid_decompose(signal, bank, args.levels)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_signal_csv(dec.coarse, outdir / "coarse.csv")
-    n_files = 1
+    files = [("coarse.csv", dec.coarse)]
     for level, bands in enumerate(dec.details, start=1):
-        for band, sig in enumerate(bands, start=1):
-            write_signal_csv(sig, outdir / f"detail_{level}_{band}.csv")
-            n_files += 1
-    recon = pyramid_reconstruct(dec, bank)
-    err = (recon - signal).norm()
-    print(f"wrote {n_files} band files to {outdir}; reconstruction error {err:.3e}")
-    return OK if err <= args.tol * max(1.0, signal.norm()) else VERIFY_FAILED
+        files += [(f"detail_{level}_{band}.csv", s) for band, s in enumerate(bands, 1)]
+    return _write_and_reconstruct(
+        args, files, "band files", signal, lambda: pyramid_reconstruct(dec, bank)
+    )
 
 
 def _cmd_packets(args) -> int:
     partition = None
     if args.partition:
-        obj = load_json(args.partition)
-        try:
-            partition = PacketPartition.from_leaves(obj["leaves"])
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(
-                f"{args.partition}: expected {{'leaves': [[k, n], ...]}} ({exc})"
-            ) from exc
-    # from either source, the depth sizes the leaves and validate's counters
+        partition = _parse_json(
+            args.partition,
+            lambda obj: PacketPartition.from_leaves(obj["leaves"]),
+            "expected {'leaves': [[k, n], ...]}",
+        )
+    # from either source, the depth sizes the leaves
     option = "--depth" if partition is None else f"the depth of {args.partition}"
     depth = args.depth if partition is None else partition.depth
     _require_range(option, depth, 1, defaults.MAX_DEPTH)
@@ -215,13 +210,21 @@ def _cmd_packets(args) -> int:
     if partition is None:
         partition = PacketPartition.full(depth, bank.scale_n)
     leaf_map = packet_decompose(signal, bank, partition)
+    files = [(f"{k}_{n}.csv", sig) for (k, n), sig in sorted(leaf_map.items())]
+    return _write_and_reconstruct(
+        args, files, "leaves", signal, lambda: packet_reconstruct(leaf_map, bank, partition)
+    )
+
+
+def _write_and_reconstruct(args, files, what: str, signal, reconstruct) -> int:
+    """Write each (name, signal) of files under --out-dir, then fail (exit 1)
+    when reconstruct() is off signal by more than --tol * max(1, |signal|)."""
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for (k, n), sig in sorted(leaf_map.items()):
-        write_signal_csv(sig, outdir / f"{k}_{n}.csv")
-    recon = packet_reconstruct(leaf_map, bank, partition)
-    err = (recon - signal).norm()
-    print(f"wrote {len(leaf_map)} leaves to {outdir}; reconstruction error {err:.3e}")
+    for name, sig in files:
+        write_signal_csv(sig, outdir / name)
+    err = (reconstruct() - signal).norm()
+    print(f"wrote {len(files)} {what} to {outdir}; reconstruction error {err:.3e}")
     return OK if err <= args.tol * max(1.0, signal.norm()) else VERIFY_FAILED
 
 
@@ -250,20 +253,17 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    obj = load_json(args.matrix)
     if args.recompose:
-        try:
-            steps = [LiftingStep.from_json(s) for s in obj["steps"]]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(f"{args.matrix}: not a steps file ({exc})") from exc
+        steps = _parse_json(
+            args.matrix,
+            lambda obj: [LiftingStep.from_json(s) for s in obj["steps"]],
+            "not a steps file",
+        )
         A = lifting_recompose(steps)
         dump_json(A.to_json(), args.output)
         print(f"recomposed {len(steps)} steps into {args.output}")
         return OK
-    try:
-        A = MatLaurentPoly.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"{args.matrix}: not a matrix file ({exc})") from exc
+    A = _parse_json(args.matrix, MatLaurentPoly.from_json, "not a matrix file")
     steps = lifting_factorize(A)
     dump_json({"steps": [s.to_json() for s in steps]}, args.output)
     resid = float(np.max(np.abs((A - lifting_recompose(steps)).coeffs)))

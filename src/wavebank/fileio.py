@@ -1,5 +1,5 @@
-"""File formats used by the command line: JSON for banks/matrices/steps,
-CSV for signals and grid functions, minimal SVG polylines for plots.
+"""File formats of the command line: JSON for banks/matrices/steps, CSV for
+signals and grid functions (rows parsed by one `_csv_rows`), SVG polylines.
 
 The writers' bytes are fixed: CSV cells are the `repr` of their number, CSV
 lines end in CRLF and SVG points are "%.2f,%.2f".  Rows are written in
@@ -483,24 +483,29 @@ def _load_signal_rows(path: Path):
             return None
 
 
-def _parse_signal_rows(path: Path) -> Signal:
-    entries = {}
+def _csv_rows(path: Path, columns: str, key):
+    """(line, key(first cell), complex value) per row of a `columns` CSV file
+    such as "index,re,im": a header naming the first column and blank rows are
+    skipped, a missing imaginary part is 0, and a bad row raises at path:line."""
+    head = columns.split(",", 1)[0]
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "index":
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno == 1 and row and row[0].strip().lower() == head:
                 continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                idx = int(row[0])
-                re = float(row[1])
-                im = float(row[2]) if len(row) > 2 else 0.0
+                k = key(row[0])
+                value = complex(float(row[1]), float(row[2]) if len(row) > 2 else 0.0)
             except (ValueError, IndexError) as exc:
                 raise InputFormatError(
-                    f"{path}:{lineno}: expected 'index,re,im', got {row!r}"
+                    f"{path}:{lineno}: expected '{columns}', got {row!r}"
                 ) from exc
-            entries[idx] = complex(re, im)
+            yield lineno, k, value
+
+
+def _parse_signal_rows(path: Path) -> Signal:
+    entries = {idx: value for _, idx, value in _csv_rows(path, "index,re,im", int)}
     if not entries:
         return Signal.zero()
     lo = min(entries)
@@ -536,29 +541,13 @@ def read_grid_csv(path, j_level: int) -> GridFunction:
     """GridFunction from `x,value_re,value_im` rows; row i must be at
     x = (lo + i) * 2**-j_level, the grid points in order without gaps."""
     path = Path(path)
-    xs = []
-    vals = []
-    lines = []
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1 and row and row[0].strip().lower() == "x":
-                    continue
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                try:
-                    xs.append(float(row[0]))
-                    vals.append(complex(float(row[1]), float(row[2]) if len(row) > 2 else 0.0))
-                except (ValueError, IndexError) as exc:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: expected 'x,value_re,value_im', got {row!r}"
-                    ) from exc
-                lines.append(lineno)
+        rows = list(_csv_rows(path, "x,value_re,value_im", float))
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror}") from exc
-    if not xs:
+    if not rows:
         raise InputFormatError(f"{path}: no samples")
+    lines, xs, vals = zip(*rows)
     k = np.array(xs) * 2.0**j_level  # exact: a power-of-two scale
     want = np.round(k[0]) + np.arange(len(k))
     bad = np.flatnonzero((k != want) | ~(np.abs(want) < 2.0**53))

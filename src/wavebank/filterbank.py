@@ -164,19 +164,15 @@ def check_qmf(
     """Verify the quadrature conditions on a torus grid.
 
     The residual is the max over the grid and over filter pairs (j, k) of
-    |(1/N) * sum_{w^N=z} conj(m_j(w)) m_k(w) - delta_jk|; lowpass_ok records
-    whether |m_0(1) - sqrt(N)| <= tol.  Failures are reported, not raised.
-    Requires grid_size >= 2*span(A) + 1 for the polyphase matrix A, the
-    bound of `is_unitary_on_torus`, so that a passing residual certifies the
-    conditions everywhere on the torus.
+    |(1/N) * sum_{w^N=z} conj(m_j(w)) m_k(w) - delta_jk|, the
+    `biorthogonality_residual` of the bank paired with itself; lowpass_ok
+    records whether |m_0(1) - sqrt(N)| <= tol.  Failures are reported, not
+    raised.  Requires grid_size >= 2*span(A) + 1 for the polyphase matrix A,
+    the bound of `is_unitary_on_torus`, so that a passing residual certifies
+    the conditions everywhere on the torus.
     """
-    _require_grid(grid_size, bank, bank)
-    n = bank.scale_n
-    roots = _root_values(bank, grid_size)
-    gram = np.einsum("ikg,jkg->ijg", np.conj(roots), roots) / n
-    gram -= np.eye(n)[:, :, None]
-    residual = float(np.max(np.abs(gram)))
-    lowpass_ok = abs(bank.lowpass.eval(1.0) - math.sqrt(n)) <= tol
+    residual = biorthogonality_residual(BiorthPair(bank, bank), grid_size)
+    lowpass_ok = abs(bank.lowpass.eval(1.0) - math.sqrt(bank.scale_n)) <= tol
     return QmfReport(residual <= tol, residual, lowpass_ok)
 
 
@@ -244,12 +240,13 @@ def biorthogonality_residual(pair: BiorthPair, grid_size: int = DEFAULT_GRID) ->
     """Max deviation of (1/N) sum_{w^N=z} conj(m_i(w)) mdual_j(w) from delta_ij.
 
     Requires grid_size >= span(A) + span(B) + 1 for the primal and dual
-    polyphase matrices A and B (2*span(A) + 1 when they are alike).
+    polyphase matrices A and B (2*span(A) + 1 when they are alike).  A bank
+    paired with itself is sampled once.
     """
     _require_grid(grid_size, pair.primal, pair.dual)
     n = pair.primal.scale_n
     prim = _root_values(pair.primal, grid_size)
-    dual = _root_values(pair.dual, grid_size)
+    dual = prim if pair.dual is pair.primal else _root_values(pair.dual, grid_size)
     gram = np.einsum("ikg,jkg->ijg", np.conj(prim), dual) / n
     gram -= np.eye(n)[:, :, None]
     return float(np.max(np.abs(gram)))

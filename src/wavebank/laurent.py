@@ -3,12 +3,13 @@
 `Block`, an integer offset plus one read-only complex ndarray, represents
 every finitely supported sequence in the package (these polynomials,
 `operators.Signal`, `cascade.GridFunction`) and owns their equality, hashing,
-index lookup and zero padding; `_trim_ends` is their one end trim.  A
-polynomial's offset is its lowest exponent and its array has shape
-(span + 1,), or (span + 1, n, n) for `MatLaurentPoly`.  Arithmetic is exact
-coefficient arithmetic (complex doubles); `from_coeffs`, the one constructor,
-trims end terms of modulus below ``CANONICAL_EPS`` (a matrix term by its
-largest entry) so degree bookkeeping stays stable after round trips.
+index lookup, zero padding and termwise algebra (`+`, `-`, negation,
+`scale`); `_trim_ends` is their one end trim.  A polynomial's offset is its
+lowest exponent and its array has shape (span + 1,), or (span + 1, n, n) for
+`MatLaurentPoly`.  Arithmetic is exact coefficient arithmetic (complex
+doubles); `from_coeffs`, the one constructor, trims end terms of modulus
+below ``CANONICAL_EPS`` (a matrix term by its largest entry) so degree
+bookkeeping stays stable after round trips.
 
 Every torus grid is sampled by one FFT (`sample_torus`).  Determinants and FIR
 inverses, Laurent polynomials of known span, are taken pointwise on a grid
@@ -38,7 +39,7 @@ CANONICAL_EPS = 1e-14
 
 
 class DimensionMismatchError(ValueError):
-    """Operands have incompatible matrix dimensions."""
+    """Operands have incompatible matrix dimensions (or other `Block._key` fields)."""
 
 
 class SingularOnTorusError(ValueError):
@@ -104,6 +105,8 @@ class Block:
     axis 0, which operations slice and share without copying.  Equality and
     hashing compare the exact type, the offset, the fields named in `_key`,
     the array shape and the values (-0.0 hashes like 0.0, which it equals).
+    `+`, `-`, negation and `scale` build their result with `_like(offset,
+    arr)`, the subclass's constructor given self's `_key` fields.
     """
 
     offset: int
@@ -142,6 +145,9 @@ class Block:
         """`data` as a tuple of Python complex numbers."""
         return tuple(self.data.tolist())
 
+    def array(self) -> np.ndarray:
+        return self.data
+
     def at(self, index: int):
         """The term at `index`, zero outside the stored block: a complex, or
         a new array for a matrix term."""
@@ -150,11 +156,19 @@ class Block:
             return complex(self.data[k]) if self.data.ndim == 1 else np.array(self.data[k])
         return 0j if self.data.ndim == 1 else np.zeros(self.data.shape[1:], dtype=complex)
 
+    def _require_compatible(self, other: "Block") -> None:
+        mine = (self.data.shape[1:], *[getattr(self, k) for k in self._key])
+        theirs = (other.data.shape[1:], *[getattr(other, k) for k in self._key])
+        if mine != theirs:
+            names = ("matrix shape", *self._key)
+            raise DimensionMismatchError(f"operands differ in {names}: {mine} vs {theirs}")
+
     def padded(self, other: "Block") -> tuple[int, np.ndarray, np.ndarray]:
-        """(lo, a, b): the data of self and other zero-padded onto their
-        common support lo..max(end) - 1.  The padding is added to, not
-        overwritten, so -0.0 terms come out as 0.0 and a + b rounds exactly
-        like the terms summed into one zero array."""
+        """(lo, a, b): the data of self and other, two compatible blocks,
+        zero-padded onto their common support lo..max(end) - 1.  The padding
+        is added to, not overwritten, so -0.0 terms come out as 0.0 and a + b
+        rounds exactly like the terms summed into one zero array."""
+        self._require_compatible(other)
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
         out = []
@@ -170,6 +184,28 @@ class Block:
         out = np.zeros(max(n * len(self.data) - n + 1, 0), dtype=complex)
         out[::n] = self.data
         return n * self.offset, out
+
+    def __add__(self, other: "Block") -> "Block":
+        """Termwise sum; an operand with no stored terms returns the other one
+        itself, whose -0.0 terms padding would turn into 0.0."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if not len(self.data):
+            return other
+        if not len(other.data):
+            return self
+        lo, a, b = self.padded(other)
+        a += b
+        return self._like(lo, a)
+
+    def __neg__(self) -> "Block":
+        return self._like(self.offset, -self.data)
+
+    def __sub__(self, other: "Block") -> "Block":
+        return self + (-other)
+
+    def scale(self, s: complex) -> "Block":
+        return self._like(self.offset, s * self.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +249,7 @@ class LaurentPoly(Block):
             raise ValueError("zero polynomial has no degree")
         return self.end - 1
 
-    def coeff_array(self) -> np.ndarray:
-        return self.data
+    coeff_array = Block.array
 
     @property
     def is_monomial(self) -> bool:
@@ -225,22 +260,8 @@ class LaurentPoly(Block):
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo, a, b = self.padded(other)
-        a += b
-        return LaurentPoly.from_coeffs(lo, a)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly.from_coeffs(self.min_deg, -self.data)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+    def _like(self, offset: int, arr: np.ndarray) -> "LaurentPoly":
+        return LaurentPoly.from_coeffs(offset, arr)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -252,13 +273,7 @@ class LaurentPoly(Block):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, s: complex) -> "LaurentPoly":
-        return LaurentPoly.from_coeffs(self.min_deg, s * self.data)
+    __rmul__ = __mul__  # a scalar times self
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k (exact reindexing)."""
@@ -378,10 +393,7 @@ class MatLaurentPoly(Block):
 
     min_deg = LaurentPoly.min_deg
     coeff = Block.at  # new array A_degree (zeros outside the stored block)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.data
+    coeffs = property(Block.array)
 
     @property
     def n(self) -> int:
@@ -401,22 +413,8 @@ class MatLaurentPoly(Block):
 
     # -- algebra -----------------------------------------------------------
 
-    def _require_same_dim(self, other: "MatLaurentPoly") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"matrix dimensions differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "MatLaurentPoly") -> "MatLaurentPoly":
-        if not isinstance(other, MatLaurentPoly):
-            return NotImplemented
-        self._require_same_dim(other)
-        lo, a, b = self.padded(other)
-        a += b
-        return MatLaurentPoly.from_coeffs(lo, a)
-
-    def __neg__(self) -> "MatLaurentPoly":
-        return MatLaurentPoly.from_coeffs(self.min_deg, -self.coeffs)
-
-    __sub__ = LaurentPoly.__sub__  # self + (-other)
+    def _like(self, offset: int, arr: np.ndarray) -> "MatLaurentPoly":
+        return MatLaurentPoly.from_coeffs(offset, arr)
 
     def __mul__(self, other):
         """Coefficient convolution out[a + b] = sum_a A_a @ B_b (A_a * b_b for
@@ -425,9 +423,9 @@ class MatLaurentPoly(Block):
         a, and A_a stays the left factor of each product: numpy's complex
         multiply is not bitwise commutative, so this fixes the rounding."""
         if isinstance(other, (int, float, complex)):
-            return MatLaurentPoly.from_coeffs(self.min_deg, other * self.coeffs)
+            return self.scale(other)
         if isinstance(other, MatLaurentPoly):
-            self._require_same_dim(other)
+            self._require_compatible(other)
             rhs, product = other.coeffs, np.matmul
         elif isinstance(other, LaurentPoly):
             if other.is_zero:

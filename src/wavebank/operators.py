@@ -24,6 +24,7 @@ relabeling; none is enforced).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -47,6 +48,9 @@ class Signal(Block):
     def from_samples(offset: int, samples: Iterable[complex]) -> "Signal":
         return Signal(*_trim_ends(offset, frozen_vector(samples), 0.0))
 
+    def _like(self, offset: int, arr: np.ndarray) -> "Signal":
+        return Signal.from_samples(offset, arr)
+
     @staticmethod
     def zero() -> "Signal":
         return Signal(0, frozen_vector(()))
@@ -57,29 +61,13 @@ class Signal(Block):
 
     samples = Block.terms
 
-    def sample_array(self) -> np.ndarray:
-        return self.data
+    sample_array = Block.array
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.sample_array()) ** 2))
 
     def norm(self) -> float:
         return float(np.sqrt(self.energy()))
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo, a, b = self.padded(other)
-        a += b
-        return Signal.from_samples(lo, a)
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        return self + other.scale(-1.0)
-
-    def scale(self, s: complex) -> "Signal":
-        return Signal.from_samples(self.offset, s * self.sample_array())
 
 
 def inner(c: Signal, d: Signal) -> complex:
@@ -219,22 +207,31 @@ class PacketPartition:
             raise InvalidPartitionError("partition has no leaves")
         return max(k for k, _ in self.leaves)
 
-    def validate(self, scale_n: int) -> None:
+    def validate(self, scale_n: int) -> int:
+        """The depth d, once the leaves' index blocks at depth d tile 0..N**d - 1
+        (swept as sorted block ends, in memory linear in the leaves); an
+        invalid partition names its first 8 overlapping and missing indices."""
         d = self.depth
+        steps = Counter({0: 0, scale_n**d: 0})  # cover count change at each block end
         for k, n in self.leaves:
             if k < 1 or n < 0 or n >= scale_n**k:
                 raise InvalidPartitionError(f"leaf {(k, n)} out of range for N={scale_n}")
-        counts = np.zeros(scale_n**d, dtype=int)
-        for k, n in self.leaves:
             width = scale_n ** (d - k)
-            counts[n * width : (n + 1) * width] += 1
-        overlapping = np.nonzero(counts > 1)[0]
-        missing = np.nonzero(counts == 0)[0]
-        if len(overlapping) or len(missing):
+            steps[n * width] += 1
+            steps[(n + 1) * width] -= 1
+        overlapping, missing, count = [], [], 0
+        ends = sorted(steps)
+        for lo, hi in zip(ends, ends[1:]):
+            count += steps[lo]
+            if count != 1:
+                bad = missing if count == 0 else overlapping
+                bad.extend(range(lo, min(hi, lo + 8 - len(bad))))
+        if overlapping or missing:
             raise InvalidPartitionError(
-                f"invalid partition: overlapping index blocks {overlapping.tolist()[:8]}, "
-                f"missing index blocks {missing.tolist()[:8]} (at depth {d})"
+                f"invalid partition: overlapping index blocks {overlapping}, "
+                f"missing index blocks {missing} (at depth {d})"
             )
+        return d
 
 
 def packet_decompose(
@@ -243,9 +240,8 @@ def packet_decompose(
     """Leaf (k, n) receives the chain of adjoint isometries selected by the
     base-N digits of n, most-significant digit first: the children of node
     (k, n) are (k+1, n*N + band), so leaf index blocks stay contiguous."""
-    partition.validate(bank.scale_n)
     n_bands = bank.scale_n
-    max_depth = partition.depth  # scans every leaf: read it once
+    max_depth = partition.validate(n_bands)
     out: Dict[Tuple[int, int], Signal] = {}
 
     def walk(signal: Signal, depth: int, index: int) -> None:
@@ -266,9 +262,8 @@ def packet_reconstruct(
     bank: FilterBank,
     partition: PacketPartition,
 ) -> Signal:
-    partition.validate(bank.scale_n)
     n_bands = bank.scale_n
-    max_depth = partition.depth  # scans every leaf: read it once
+    max_depth = partition.validate(n_bands)
 
     def build(depth: int, index: int) -> Signal:
         if (depth, index) in partition.leaves:

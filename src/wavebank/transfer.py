@@ -17,12 +17,12 @@ eigenvalue 1.
 PER is a trigonometric polynomial, PER(t) = sum_k a_k exp(-i k t), whose
 coefficients (the autocorrelation of the scaling function) lie in the
 invariant window and form a fixed vector of R_W.  For a QMF bank with
-|m_0(1)|^2 = N, `per_exact` reads a off the fixed space of the window
-matrix: a simple eigenvalue 1 gives a = delta_0 (Lawton), and every further
-fixed vector comes with a cycle of t -> N t on which W = N and PER = 0
-(Cohen), which pins a down.  `per_check` uses that exact polynomial, and
+|m_0(1)|^2 = N, `per_exact` decides by the cycles of t -> N t on which
+W = N (Cohen), with the fixed space of the window matrix as a cross-check:
+no cycle gives a = delta_0 (Lawton), cycles give the fixed vector with
+PER = 0 on every cycle point.  `per_check` uses that exact polynomial, and
 falls back to the truncated sum below when a precondition fails or the
-fixed space or the cycles cannot be certified.
+fixed space and the cycles disagree or cannot be certified.
 
 The fallback periodization is the truncated sum over |n| <= n_max of the K-term
 product |phihat(s)|^2 = prod_{k=1..K} W(s / N**k) / N, s = t + 2*pi*n.  W is
@@ -517,15 +517,15 @@ def per_exact(bank: FilterBank) -> Optional[ExactPer]:
 
     Its coefficients are the autocorrelation a_k of the scaling function,
     supported on the invariant window, and a = R_W a.  For a QMF bank with
-    |m_0(1)|**2 = N the fixed space of R_W settles a:
-      * dimension 1: a = delta_0 and PER = 1 (Lawton 1991);
-      * dimension > 1: the extra fixed vectors come from the nontrivial
-        cycles of t -> N t on which W = N, and PER vanishes on those cycles
-        (Cohen 1990).  a is the fixed vector with sum_k a_k = PER(0) = 1 and
+    |m_0(1)|**2 = N, Cohen's cycle test decides, the SVD fixed space checks:
+      * no nontrivial cycle of t -> N t on which W = N: a = delta_0, PER = 1
+        (Cohen 1990, Lawton 1991), even if the fixed space has no clear gap;
+      * cycles: PER vanishes on them and they bring the extra fixed vectors
+        of R_W.  a is the fixed vector with sum_k a_k = PER(0) = 1 and
         PER = 0 on every cycle point; the constraint rows must determine it.
     Returns None when check_qmf fails, when |m_0(1)|**2 is off N by more than
-    TOL * N, when the fixed space is not separated by a clear singular-value
-    gap, or when the cycle constraints do not determine a.
+    TOL * N, when the fixed space contradicts the cycles (dimension > 1 with
+    none, <= 1 or no clear gap with some) or the constraints do not fix a.
     """
     n = bank.scale_n
     grid = max(DEFAULT_GRID, 2 * _polyphase_span(bank)[1] + 1)
@@ -534,18 +534,18 @@ def per_exact(bank: FilterBank) -> Optional[ExactPer]:
     if abs(abs(bank.lowpass.eval(1.0)) ** 2 - n) > DEFAULT_TOL * n:
         return None
     spec = TransferSpec.for_bank(bank)
-    basis = _fixed_space(spec)
-    if basis is None:
-        return None
     m = spec.band_m
     unit = spec.w.scale(n / spec.w.eval(1.0).real)
     qmf_residual = max(abs(unit.coeff(n * k) - (k == 0)) for k in range(-m, m + 1))
-    dim = basis.shape[1]
-    if dim == 1:
+    cycles = _cohen_cycles(spec.w, n)
+    basis = _fixed_space(spec)
+    dim = 0 if basis is None else basis.shape[1]  # 0: no clear singular-value gap
+    if not cycles and dim <= 1:
         coeffs = np.zeros(2 * m + 1, dtype=complex)
         coeffs[m] = 1.0
         return ExactPer(coeffs, 1, (), float(qmf_residual))
-    cycles = _cohen_cycles(spec.w, n)
+    if not cycles or dim <= 1:
+        return None
     points = np.concatenate([np.zeros(1)] + cycles)
     rows = np.exp(-1j * points[:, None] * np.arange(-m, m + 1)) @ basis
     rhs = np.zeros(points.size)
@@ -593,8 +593,8 @@ def per_check(
     """Max deviation of the periodization from 1 over the t-grid 2 pi i / t_points.
 
     The periodization is exact when `per_exact` certifies it: the deviation
-    is then max|PER - 1| on the grid, or, for a one-dimensional fixed space,
-    where PER = 1, the QMF residual max_n |w_{N n} - delta_n| of W scaled to
+    is then max|PER - 1| on the grid, or, when there is no Cohen cycle and
+    PER = 1, the QMF residual max_n |w_{N n} - delta_n| of W scaled to
     W(1) = N (exactly 0.0 for the two-tap bank).  Otherwise it
     is the truncated sum `per_samples` with n_max and k_terms.
     The reported tail estimate N / (pi**2 n_max) is the O(1/n_max) size of the

@@ -402,6 +402,32 @@ class TestLiftCommand:
         assert "error: degree reduction stalled" in capsys.readouterr().err
 
 
+class TestJsonInputErrors:
+    @pytest.mark.parametrize(
+        "argv, obj, reason",
+        [
+            (["design", "-o", "{tmp}/bank.json", "--projections"],
+             {"projections": [{"lambda": 2.0, "theta": 0.5}]}, "lam must lie in [0, 1]"),
+            (["packets", "{bank}", "--signal", "{signal}", "--out-dir", "{tmp}/out",
+              "--partition"],
+             {"leaves": [[1, 0], "a"]}, "not enough values to unpack"),
+            (["lift", "-o", "{tmp}/back.json", "--recompose"],
+             {"steps": [{"kind": "twist", "poly": {"min_deg": 0, "coeffs": [[1.0, 0.0]]}}]},
+             "unknown step kind 'twist'"),
+        ],
+        ids=["projection-lambda", "partition-leaf", "step-kind"],
+    )
+    def test_value_errors_in_files_are_input_errors(
+        self, tmp_path, d4_file, signal_file, capsys, argv, obj, reason
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        names = dict(tmp=tmp_path, bank=d4_file, signal=signal_file[0])
+        assert main([a.format(**names) for a in argv] + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ") and reason in err
+
+
 class TestSignalCsv:
     def test_round_trip(self, tmp_path):
         sig = Signal.from_samples(-3, [1.0, 2.5 - 1j, 0.0, 4.0])

@@ -491,6 +491,54 @@ class TestReadGridCsv:
         assert g.support_lo == -1 and g.values == (1.0, 2.0 + 1.0j)
 
 
+class TestBothReaders:
+    """The signal and grid readers parse rows alike: integer x values at
+    j_level 0 are consecutive grid points and valid indices."""
+
+    BODIES = [
+        "0,1.0,0.0\n1,2.0,1.0\n",
+        "\n-2,1.0,0.5\n,,\n-1,2.0\n  \n0,3.0,-1.0\n",  # blank and two-column rows
+        "5,1e-300,-0.0\n6,inf,nan\n",
+    ]
+    MALFORMED = [  # (body, line of the bad row without a header)
+        ("0,1.0,0.0\n\n1,abc,0.0\n", 3),
+        ("0,1.0,0.0\n1\n", 2),
+        ("0,1.0,0.0\n1,2.0,0.0\n\n2,3.0,x\n", 4),
+    ]
+
+    READERS = [
+        ("index,re,im", read_signal_csv),
+        ("x,value_re,value_im", lambda path: read_grid_csv(path, 0)),
+    ]
+
+    def _read(self, tmp_path, headed, body):
+        """What each reader makes of body, under its own header if headed."""
+        out = []
+        for columns, read in self.READERS:
+            path = tmp_path / "rows.csv"
+            path.write_text(columns + "\n" + body if headed else body)
+            try:
+                out.append(read(path))
+            except InputFormatError as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("headed", [False, True])
+    def test_same_files_read_alike(self, tmp_path, headed, body):
+        sig, grid = self._read(tmp_path, headed, body)
+        assert sig.offset == grid.offset
+        assert sig.data.tobytes() == grid.data.tobytes()
+
+    @pytest.mark.parametrize("body, line", MALFORMED)
+    @pytest.mark.parametrize("headed", [False, True])
+    def test_same_malformed_line(self, tmp_path, headed, body, line):
+        where = f"{tmp_path / 'rows.csv'}:{line + headed}"
+        for (columns, _), exc in zip(self.READERS, self._read(tmp_path, headed, body)):
+            assert isinstance(exc, InputFormatError)
+            assert str(exc).startswith(f"{where}: expected '{columns}'")
+
+
 class TestEndToEndBytes:
     """Every file the CLI writes at benchmark sizes equals the row writers'."""
 

@@ -404,6 +404,45 @@ class TestPackets:
         with pytest.raises(InvalidPartitionError, match="out of range"):
             PacketPartition.from_leaves([(1, 2)]).validate(2)
 
+    def test_validate_needs_no_counter_per_index(self):
+        # the depth-64 leaf made the old rule allocate 2**64 counters
+        with pytest.raises(InvalidPartitionError, match=r"missing index blocks \[1, 2, "):
+            PacketPartition.from_leaves([(1, 1), (64, 0)]).validate(2)
+        chain = PacketPartition.from_leaves([(k, 1) for k in range(1, 41)] + [(40, 0)])
+        assert chain.validate(2) == 40
+
+    def test_validate_lists_match_the_counter_rule(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            scale_n = int(rng.integers(2, 4))
+            if rng.uniform() < 0.3:
+                partition = random_partition(rng, int(rng.integers(1, 5)), scale_n)
+            else:
+                leaves = set()
+                for _ in range(int(rng.integers(1, 12))):
+                    k = int(rng.integers(1, 5))
+                    leaves.add((k, int(rng.integers(0, scale_n**k))))
+                partition = PacketPartition.from_leaves(leaves)
+            overlapping, missing = counter_rule(partition, scale_n)
+            if overlapping or missing:
+                with pytest.raises(InvalidPartitionError) as err:
+                    partition.validate(scale_n)
+                assert f"overlapping index blocks {overlapping}, " in str(err.value)
+                assert f"missing index blocks {missing} " in str(err.value)
+            else:
+                assert partition.validate(scale_n) == partition.depth
+
+
+def counter_rule(partition, scale_n):
+    """The first 8 overlapping and missing indices by the rule validate used
+    before: one counter per index at the partition's depth."""
+    d = partition.depth
+    counts = np.zeros(scale_n**d, dtype=int)
+    for k, n in partition.leaves:
+        width = scale_n ** (d - k)
+        counts[n * width : (n + 1) * width] += 1
+    return np.nonzero(counts > 1)[0].tolist()[:8], np.nonzero(counts == 0)[0].tolist()[:8]
+
 
 class TestBigUnitary:
     def test_haar_rejected_for_tap_count(self):

@@ -560,6 +560,27 @@ class TestExactPeriodization:
         assert report.max_dev_from_1 <= 1e-12
         assert report.is_constant_1
 
+    def test_bank_near_a_cohen_cycle_is_certified(self):
+        # eigenvalue 1 - 1.2e-7 sits next to 1, so T - I has no clear singular
+        # value gap; with no cycle, Cohen's test certifies PER = 1 without it
+        bank = FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, [
+            0.706862556282352, -0.00024405631680146257,
+            0.00024422490419554095, 0.7073508375033489,
+        ]))
+        exact = transfer.per_exact(bank)
+        assert exact is not None and exact.fixed_dim == 1 and exact.cycles == ()
+        report = per_check(bank)
+        assert report.certified and report.is_constant_1
+        assert report.max_dev_from_1 <= 1e-12
+
+    def test_fixed_space_vetoes_a_missed_cycle(self, monkeypatch):
+        # a cycle the root test misses, such as one too long to snap (the
+        # 106-cycle of (1 + z**107)/sqrt(2)), must not certify PER = 1: the
+        # SVD's fixed space of dimension > 1 sends the bank to the fallback
+        monkeypatch.setattr(transfer, "_cohen_cycles", lambda w, n: [])
+        assert transfer.per_exact(stretched_haar()) is None
+        assert not per_check(stretched_haar(), n_max=100).is_constant_1
+
     def test_n_max_still_validated(self):
         with pytest.raises(ValueError, match="n_max must be >= 21"):
             per_check(daubechies4(), t_points=8, n_max=20)
