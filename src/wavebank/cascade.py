@@ -89,9 +89,6 @@ class GridFunction(Block):
     def l2_norm_sq(self) -> float:
         return float(np.sum(np.abs(self.value_array()) ** 2) * self.step)
 
-    def l2_norm(self) -> float:
-        return math.sqrt(self.l2_norm_sq())
-
     def translate(self, integer_shift: int) -> "GridFunction":
         """Shift by an integer (in function units, i.e. 2**j_level grid steps)."""
         shift = integer_shift << self.j_level
@@ -125,13 +122,13 @@ def _band_step(coeffs: LaurentPoly, scale_n: int, g: GridFunction) -> GridFuncti
     out = np.zeros(out_hi - out_lo + 1, dtype=complex)
     vals = g.value_array()
     root = math.sqrt(scale_n)
-    i = np.arange(out_lo, out_hi + 1)
     for n, c in enumerate(coeffs.coeffs, n_lo):
-        if c == 0:
-            continue
-        src = scale_n * i - n * unit
-        mask = (src >= g.support_lo) & (src <= g.support_hi)
-        out[mask] += root * c * vals[src[mask] - g.support_lo]
+        # out[k] reads vals[start + N*k]; keep the k whose index lands in vals
+        start = scale_n * out_lo - n * unit - g.support_lo
+        k0 = max(0, -(start // scale_n))
+        k1 = min(len(out), (len(vals) - 1 - start) // scale_n + 1)
+        if c != 0 and k0 < k1:
+            out[k0:k1] += root * c * vals[start + scale_n * k0 :: scale_n][: k1 - k0]
     return GridFunction.from_values(g.j_level, out_lo, out)
 
 
@@ -155,6 +152,10 @@ class CascadeResult:
     iterations: int
 
 
+# squared differences below this multiple of ||phi||**2 are rounding noise
+_ROUNDING_FLOOR = (16 * np.finfo(float).eps) ** 2
+
+
 def scaling_function(
     bank: FilterBank,
     j_level: int = J_LEVEL,
@@ -166,36 +167,30 @@ def scaling_function(
     Each iterate is rescaled to Riemann sum 1.  The log records the squared
     L2 successive differences; `converged` is set once a difference drops
     below tol, `diverged` after three consecutive increases (a
-    non-convergence report, not an exception).
+    non-convergence report, not an exception).  A difference counts as an
+    increase only above the rounding floor (16 eps)**2 * ||phi_k||**2 of the
+    new iterate, so differences at rounding level never report divergence.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     current = GridFunction.box(j_level)
     diffs = []
     increases = 0
-    converged = False
-    diverged = False
-    done = 0
     for _ in range(iters):
         nxt = cascade_step(bank, current)
         mass = nxt.riemann_sum()
         if abs(mass) > 1e-12:
             nxt = nxt.scale(1.0 / mass)
         diff = l2_difference(nxt, current) ** 2
-        if diffs and diff > diffs[-1]:
-            increases += 1
-        else:
-            increases = 0
+        rose = diffs and diff > diffs[-1] and diff > _ROUNDING_FLOOR * nxt.l2_norm_sq()
+        increases = increases + 1 if rose else 0
         diffs.append(diff)
         current = nxt
-        done += 1
-        if diff < tol:
-            converged = True
+        if diff < tol or increases >= 3:
             break
-        if increases >= 3:
-            diverged = True
-            break
-    return CascadeResult(current, tuple(diffs), converged, diverged, done)
+    converged = diffs[-1] < tol
+    diverged = increases >= 3 and not converged
+    return CascadeResult(current, tuple(diffs), converged, diverged, len(diffs))
 
 
 def wavelet_from_scaling(bank: FilterBank, phi: GridFunction) -> list:
@@ -253,10 +248,7 @@ def expected_position(g: GridFunction) -> PositionReport:
     weights = np.abs(g.value_array()) ** 2
     mids = g.x() + 0.5 * g.step
     value = float(np.sum(mids * weights) * g.step / norm_sq)
-    nearest = math.floor(value) + 0.5
-    for cand in (nearest - 1.0, nearest + 1.0):
-        if abs(cand - value) < abs(nearest - value):
-            nearest = cand
+    nearest = math.floor(value) + 0.5  # every other point of 1/2 + Z is 1/2 or more away
     return PositionReport(value, nearest, abs(value - nearest))
 
 

@@ -99,7 +99,7 @@ def _cmd_design(args) -> int:
         print("design: choose --projections, --daubechies4 or --six-tap", file=sys.stderr)
         return USAGE_ERROR
     dump_json(bank.to_json(), args.output)
-    report = check_qmf(bank, args.grid, args.tol)
+    report = check_qmf(bank, args.grid)
     print(f"wrote {args.output} (quadrature residual {report.max_residual:.3e})")
     return OK
 
@@ -151,19 +151,18 @@ def _cmd_cascade(args) -> int:
     _require_range("--j", args.j, 0, defaults.MAX_J)
     bank = _load_bank(args.bank)
     result = scaling_function(bank, args.j, args.iters)
-    write_grid_csv(result.phi, args.output)
-    if args.plot:
-        write_svg_polyline(result.phi.x(), result.phi.value_array().real, args.plot)
+    stem = Path(args.plot or ".")
+    outputs = [(result.phi, args.output, args.plot)]  # (grid, csv path, svg path)
     if args.psi_prefix:
-        for i, psi in enumerate(wavelet_from_scaling(bank, result.phi), start=1):
-            write_grid_csv(psi, f"{args.psi_prefix}{i}.csv")
-            if args.plot:
-                stem = Path(args.plot)
-                write_svg_polyline(
-                    psi.x(),
-                    psi.value_array().real,
-                    stem.with_name(f"{stem.stem}_psi{i}{stem.suffix}"),
-                )
+        outputs += [
+            (psi, f"{args.psi_prefix}{i}.csv",
+             args.plot and stem.with_name(f"{stem.stem}_psi{i}{stem.suffix}"))
+            for i, psi in enumerate(wavelet_from_scaling(bank, result.phi), start=1)
+        ]
+    for grid, csv_path, svg_path in outputs:
+        write_grid_csv(grid, csv_path)
+        if svg_path:
+            write_svg_polyline(grid.x(), grid.value_array().real, svg_path)
     status = "converged" if result.converged else (
         "diverged" if result.diverged else "not converged"
     )
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--six-tap", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--grid", type=int, default=defaults.GRID_SIZE)
-    p.add_argument("--tol", type=float, default=defaults.TOL)
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("verify", help="quadrature + polyphase unitarity check")

@@ -207,6 +207,14 @@ class Block:
     def scale(self, s: complex) -> "Block":
         return self._like(self.offset, s * self.data)
 
+    def _horner(self, z):
+        """sum_k data[k] * z**(offset + k) by Horner's rule on the terms, then
+        the z**offset prefactor: an array of z's shape times a term's shape."""
+        acc = np.zeros(np.shape(z) + self.data.shape[1:], dtype=complex)
+        for c in self.data[::-1]:
+            acc = acc * z + c
+        return acc * z**self.offset
+
 
 @dataclass(frozen=True, eq=False)
 class LaurentPoly(Block):
@@ -251,10 +259,6 @@ class LaurentPoly(Block):
 
     coeff_array = Block.array
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.data) == 1
-
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.data), initial=0.0))
 
@@ -296,15 +300,8 @@ class LaurentPoly(Block):
     def eval(self, z):
         """Evaluate at z (scalar or array-like); exact 0 for the zero
         polynomial, in the shape of z."""
-        z = np.asarray(z, dtype=complex)
-        # Horner on the polynomial part, then restore the z**min_deg prefactor.
-        acc = np.zeros_like(z)
-        for c in self.data[::-1]:
-            acc = acc * z + c
-        acc = acc * z ** self.min_deg
-        if acc.ndim == 0:
-            return complex(acc)
-        return acc
+        acc = self._horner(np.asarray(z, dtype=complex))
+        return complex(acc) if acc.ndim == 0 else acc
 
     __call__ = eval
 
@@ -457,13 +454,7 @@ class MatLaurentPoly(Block):
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, z: complex) -> np.ndarray:
-        acc = np.zeros((self.n, self.n), dtype=complex)
-        for m in self.coeffs[::-1]:
-            acc = acc * z + m
-        return acc * z ** self.min_deg
-
-    __call__ = eval
+    eval = __call__ = Block._horner  # A(z) at one point z, an (n, n) array
 
     def eval_grid(self, grid_size: int = DEFAULT_GRID) -> np.ndarray:
         """Values on the counterclockwise grid, shape (grid_size, n, n)."""

@@ -304,24 +304,14 @@ def build_big_unitary(bank: FilterBank) -> np.ndarray:
     if not m1.is_zero and (m1.min_deg < 0 or m1.max_deg > taps - 1):
         raise ValueError("high-pass support must lie inside 0..2n+1")
     half = taps // 2  # n + 1 blocks A_0..A_n
-    a = m0.coeff_array()
-    b = np.array([m1.coeff(k) for k in range(taps)], dtype=complex)
-    blocks = [
-        np.array([[a[2 * k], a[2 * k + 1]], [b[2 * k], b[2 * k + 1]]])
-        for k in range(half)
-    ]
     m_blocks = 2 ** (half)  # 2**(n+1) block rows
     size = 2 * m_blocks
-    U = np.zeros((size, size), dtype=complex)
-    for i in range(m_blocks):
-        for j in range(m_blocks):
-            k = (j - i) % m_blocks
-            if k >= half:
-                continue
-            block = blocks[k]
-            if j == 0:
-                U[2 * i : 2 * i + 2, 0] = block[:, 1]
-                U[2 * i : 2 * i + 2, size - 1] = block[:, 0]
-            else:
-                U[2 * i : 2 * i + 2, 2 * j - 1 : 2 * j + 1] = block
-    return U
+    filt = np.zeros((2, size), dtype=complex)
+    filt[0, :taps] = m0.data
+    filt[1, m1.offset : m1.end] = m1.data
+    # blocks[k] = A_k, the polyphase coefficients A[i, j]_k = m_i[2k + j]; zero past n
+    blocks = filt.reshape(2, m_blocks, 2).transpose(1, 0, 2)
+    ring = np.arange(m_blocks)
+    tiles = blocks[(ring[None, :] - ring[:, None]) % m_blocks]  # (i, j): A_{(j - i) mod M}
+    # one column to the left: the wrapped block column splits into the border
+    return np.roll(tiles.transpose(0, 2, 1, 3).reshape(size, size), -1, axis=1)

@@ -648,10 +648,7 @@ def fixed_point_check(
     m = grid_points
     u = 2 * np.pi * np.arange(n * m) / (n * m)
     w_vals = np.abs(bank.lowpass.eval_angle(u)) ** 2
-    rf = np.zeros(m)
-    for k in range(n):
-        idx = np.arange(m) + k * m
-        rf += w_vals[idx] * f_fine[idx]
-    rf /= n
+    # row k of the reshape holds the angles (t + 2*pi*k)/N; rows add in order
+    rf = (w_vals * f_fine).reshape(n, m).sum(axis=0) / n
     coarse = f_fine[np.arange(m) * n]
     return float(np.max(np.abs(rf - coarse)))

@@ -252,3 +252,21 @@ class TestHaarTelescoping:
                 assert sums[n - 1] + tail == pytest.approx(
                     haar_scaling(x), abs=1e-12
                 )
+
+
+def test_rounding_level_differences_are_not_divergence():
+    # with tol=0 the D4 cascade reaches its limit to rounding; its squared
+    # differences (about 1e-31, eps**2 * ||phi||**2) then wander up and down
+    result = scaling_function(daubechies4(), 10, 200, tol=0.0)
+    assert not result.diverged and not result.converged
+    assert result.iterations == 200
+    assert max(result.diffs[-20:]) < 1e-29
+
+
+def test_six_tap_bank_still_diverges():
+    # differences stay above 0.03, far over the rounding floor
+    from wavebank.design import six_tap_from_angles
+
+    result = scaling_function(six_tap_from_angles(0.3, 1.1), 10, 200)
+    assert result.diverged and not result.converged
+    assert min(result.diffs) > 0.03

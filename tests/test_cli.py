@@ -454,3 +454,14 @@ class TestSignalCsv:
 
         with pytest.raises(InputFormatError, match=":3:"):
             read_signal_csv(path)
+
+
+def test_design_has_no_tol_option(tmp_path, capsys):
+    # design prints only the residual and always exits 0, so a tolerance
+    # would change nothing; argparse rejects the option as a usage error
+    out = tmp_path / "d4.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "--daubechies4", "--tol", "1e-3", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
