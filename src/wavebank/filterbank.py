@@ -32,6 +32,7 @@ from .laurent import (
     SingularOnTorusError,
     _vanishing_floor,
     interpolate_torus,
+    sample_torus,
 )
 
 
@@ -127,17 +128,6 @@ class QmfReport:
     lowpass_ok: bool
 
 
-def _root_values(bank: FilterBank, grid_size: int) -> np.ndarray:
-    """Filter values at the N-th roots of every grid point.
-
-    Returns shape (N_filters, N_roots, grid_size): entry (i, k, j) is
-    m_i(w_{k,j}) where {w_{k,j}}_k are the N-th roots of z_j.
-    """
-    n = bank.scale_n
-    vals = np.stack([f.eval_grid(n * grid_size) for f in bank.filters])
-    return vals.reshape(len(bank.filters), n, grid_size)
-
-
 def _polyphase_span(bank: FilterBank) -> tuple[int, int]:
     """min_deg and span of polyphase_from_filters(bank), read off the filter
     degrees: coefficient d of a filter lands in degree d // N of the matrix."""
@@ -149,13 +139,15 @@ def _polyphase_span(bank: FilterBank) -> tuple[int, int]:
     return lo, max(f.max_deg // n for f in live) - lo
 
 
-def _require_grid(grid_size: int, primal: FilterBank, dual: FilterBank) -> None:
-    """The Gram residual A*(z) B(z) - I of polyphase matrices A and B is a
-    Laurent polynomial of span at most span(A) + span(B); a grid of fewer
-    points can alias it to zero and pass a bank that fails."""
-    required = _polyphase_span(primal)[1] + _polyphase_span(dual)[1] + 1
+def _require_grid(grid_size: int, primal: FilterBank, dual: FilterBank) -> tuple:
+    """The `_polyphase_span` of primal and dual.  Their Gram residual has span
+    at most span(A) + span(B) for polyphase matrices A and B; a grid of fewer
+    points can alias it to zero and pass a bank that fails, so it is refused."""
+    spans = _polyphase_span(primal), _polyphase_span(dual)
+    required = spans[0][1] + spans[1][1] + 1
     if grid_size < required:
         raise ValueError(f"grid_size {grid_size} < required {required}")
+    return spans
 
 
 def check_qmf(
@@ -167,9 +159,9 @@ def check_qmf(
     |(1/N) * sum_{w^N=z} conj(m_j(w)) m_k(w) - delta_jk|, the
     `biorthogonality_residual` of the bank paired with itself; lowpass_ok
     records whether |m_0(1) - sqrt(N)| <= tol.  Failures are reported, not
-    raised.  Requires grid_size >= 2*span(A) + 1 for the polyphase matrix A,
-    the bound of `is_unitary_on_torus`, so that a passing residual certifies
-    the conditions everywhere on the torus.
+    raised.  The residual is an exact Laurent polynomial sampled once; a grid
+    of 2*span(A) + 1 points for the polyphase matrix A, the bound of
+    `is_unitary_on_torus`, still certifies the conditions on the whole torus.
     """
     residual = biorthogonality_residual(BiorthPair(bank, bank), grid_size)
     lowpass_ok = abs(bank.lowpass.eval(1.0) - math.sqrt(bank.scale_n)) <= tol
@@ -239,14 +231,23 @@ def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair
 def biorthogonality_residual(pair: BiorthPair, grid_size: int = DEFAULT_GRID) -> float:
     """Max deviation of (1/N) sum_{w^N=z} conj(m_i(w)) mdual_j(w) from delta_ij.
 
-    Requires grid_size >= span(A) + span(B) + 1 for the primal and dual
-    polyphase matrices A and B (2*span(A) + 1 when they are alike).  A bank
-    paired with itself is sampled once.
+    The root sum is the Laurent polynomial whose degree-k coefficient is the
+    (N*k)-th of the correlation m_i* mdual_j: the residual is built exactly
+    on coefficients and sampled once.  grid_size >= span(A) + span(B) + 1 for
+    the polyphase matrices A and B (2*span(A) + 1 when alike) is required and
+    certifies the relations on the whole torus.
     """
-    _require_grid(grid_size, pair.primal, pair.dual)
+    (lo_a, span_a), (lo_b, span_b) = _require_grid(grid_size, pair.primal, pair.dual)
     n = pair.primal.scale_n
-    prim = _root_values(pair.primal, grid_size)
-    dual = prim if pair.dual is pair.primal else _root_values(pair.dual, grid_size)
-    gram = np.einsum("ikg,jkg->ijg", np.conj(prim), dual) / n
-    gram -= np.eye(n)[:, :, None]
-    return float(np.max(np.abs(gram)))
+    lo = lo_b - lo_a - span_a  # the degrees lo..lo + span_a + span_b hold every term
+    # i <= j only for a bank paired with itself, whose residual is Hermitian
+    rows, cols = np.nonzero(np.tri(n, dtype=bool).T | (pair.dual is not pair.primal))
+    gram = np.zeros((span_a + span_b + 1, len(rows)), dtype=complex)
+    for col, (i, j) in enumerate(zip(rows, cols)):
+        f, g = pair.primal.filters[i], pair.dual.filters[j]
+        if not (f.is_zero or g.is_zero):  # np.convolve refuses empty taps
+            first = g.min_deg - f.max_deg  # the degree of the correlation's first term
+            corr = np.convolve(np.conj(f.data[::-1]), g.data)[-first % n :: n]
+            k = -(-first // n) - lo  # ceil(first / N): the degree of corr[0]
+            gram[k : k + len(corr), col] = corr
+    return float(np.max(np.abs(sample_torus(lo, gram, grid_size) - (rows == cols))))

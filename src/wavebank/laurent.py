@@ -55,7 +55,7 @@ def sample_torus(min_deg: int, coeffs, grid_size: int) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     folded = np.zeros((grid_size,) + coeffs.shape[1:], dtype=complex)
     np.add.at(folded, (min_deg + np.arange(len(coeffs))) % grid_size, coeffs)
-    return np.fft.ifft(folded, axis=0) * grid_size
+    return np.fft.ifft(folded, axis=0, norm="forward")  # unscaled: no 1/G factor
 
 
 def interpolate_torus(values: np.ndarray, min_deg: int, span: int) -> np.ndarray:
@@ -339,6 +339,18 @@ def _re_im_pairs(arr: np.ndarray) -> list:
     return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
+def coeff_product(lhs: np.ndarray, rhs: np.ndarray, product) -> np.ndarray:
+    """Untrimmed coefficient convolution out[a + b] = sum product(lhs[a],
+    rhs[b]), one batched product per coefficient of rhs.  Taking b downward
+    adds the terms of each out[k] in increasing a, and lhs[a] stays the left
+    factor: numpy's complex multiply is not bitwise commutative, so this
+    fixes the rounding."""
+    out = np.zeros((len(lhs) + len(rhs) - 1,) + lhs.shape[1:], dtype=complex)
+    for b in range(len(rhs) - 1, -1, -1):
+        out[b : b + len(lhs)] += product(lhs, rhs[b])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MatLaurentPoly(Block):
     """Square-matrix-valued Laurent polynomial A(z) = sum_k A_k z**(min_deg+k).
@@ -414,11 +426,8 @@ class MatLaurentPoly(Block):
         return MatLaurentPoly.from_coeffs(offset, arr)
 
     def __mul__(self, other):
-        """Coefficient convolution out[a + b] = sum_a A_a @ B_b (A_a * b_b for
-        a scalar polynomial), one batched product per coefficient of the right
-        operand.  Taking b downward adds the terms of each out[k] in increasing
-        a, and A_a stays the left factor of each product: numpy's complex
-        multiply is not bitwise commutative, so this fixes the rounding."""
+        """The `coeff_product` of the coefficients (A_a * b_b for a scalar
+        polynomial b), trimmed by `from_coeffs`."""
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         if isinstance(other, MatLaurentPoly):
@@ -430,9 +439,7 @@ class MatLaurentPoly(Block):
             rhs, product = other.data, np.multiply
         else:
             return NotImplemented
-        out = np.zeros((self.span + len(rhs), self.n, self.n), dtype=complex)
-        for b in range(len(rhs) - 1, -1, -1):
-            out[b : b + len(self.coeffs)] += product(self.coeffs, rhs[b])
+        out = coeff_product(self.coeffs, rhs, product)
         return MatLaurentPoly.from_coeffs(self.min_deg + other.min_deg, out)
 
     def __rmul__(self, other):
@@ -485,17 +492,19 @@ def is_unitary_on_torus(
 ) -> UnitarityReport:
     """Check max over the grid of ||A(z)*A(z) - I||_inf against tol.
 
-    Requires grid_size >= 2*span(A) + 1 so that a vanishing residual on the
-    grid certifies A*A == I identically (the residual is a Laurent polynomial
-    of span at most 2*span(A)).
+    The residual A*A - I, Hermitian on the torus, is built on and above the
+    diagonal as an exact, untrimmed Laurent polynomial of span 2*span(A) by
+    `coeff_product` and sampled once.  Requires grid_size >= 2*span(A) + 1 so
+    that a vanishing residual on the grid certifies A*A == I identically.
     """
     required = 2 * A.span + 1
     if grid_size < required:
         raise ValueError(f"grid_size {grid_size} < required {required}")
-    vals = A.eval_grid(grid_size)
-    prod = np.conj(np.transpose(vals, (0, 2, 1))) @ vals
-    prod -= np.eye(A.n)
-    residual = float(np.max(np.abs(prod)))
+    rows, cols = np.nonzero(np.tri(A.n, dtype=bool).T)
+    adj = np.conj(A.coeffs[::-1]).transpose(0, 2, 1)  # A*, from degree -max_deg(A)
+    prod = coeff_product(adj, A.coeffs, np.matmul)[:, rows, cols]
+    prod[A.span] -= rows == cols  # degree 0 of A*A, whose lowest degree is -span(A)
+    residual = float(np.max(np.abs(sample_torus(-A.span, prod, grid_size))))
     return UnitarityReport(residual <= tol, residual)
 
 
