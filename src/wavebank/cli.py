@@ -128,8 +128,7 @@ def _cmd_verify(args) -> int:
         A = polyphase_from_filters(bank)
         unit = is_unitary_on_torus(A, args.grid, args.tol)
         try:
-            winding = k1_class(A, args.grid)
-            winding_txt = str(winding)
+            winding_txt = str(k1_class(A, args.grid))
         except SingularOnTorusError:
             winding_txt = "undefined (det vanishes on torus)"
         agree = qmf.passed == unit.passed

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .filterbank import FilterBank, filters_from_polyphase
-from .laurent import LaurentPoly, MatLaurentPoly, _trim_ends
+from .laurent import LaurentPoly, MatLaurentPoly, _trim_ends, coeff_product
 
 V_HAAR = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -85,16 +85,25 @@ def dft_matrix(nbands: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * l / nbands) / math.sqrt(nbands)
 
 
+def _projection_product(projections: Sequence[np.ndarray]) -> MatLaurentPoly:
+    """V * prod_j (I - P_j + z*P_j) on one coefficient array, trimmed once: the
+    product of unchecked `general_factor`s, bitwise, unless their chain would
+    trim a nonzero end term between factors (rounding dust, kept here)."""
+    C = V_HAAR.astype(complex)[None]
+    P = np.reshape(projections, (-1, 2, 2))
+    for factor in np.stack((np.eye(2) - P, P), axis=1):
+        C = coeff_product(C, factor, np.matmul)
+    return MatLaurentPoly.from_coeffs(0, C)
+
+
 def unitary_from_projections(params: Sequence[ProjectionParam]) -> MatLaurentPoly:
     """A(z) = V * prod_j (1 - Q_j + z*Q_j) for two-band banks.
 
     The product of k factors is unitary on the torus, has polynomial degree
-    at most k, and winding class k (each factor has determinant z).
+    at most k, and winding class k: det A is c*z^k up to rounding (each
+    factor has determinant z), which `k1_class` certifies by Rouche's theorem.
     """
-    A = MatLaurentPoly.from_constant(V_HAAR)
-    for param in params:
-        A = A * general_factor(projection(param))
-    return A
+    return _projection_product([projection(param) for param in params])
 
 
 def bank_from_projections(params: Sequence[ProjectionParam]) -> FilterBank:
@@ -128,10 +137,7 @@ def six_tap_coefficients(theta: float, rho: float) -> np.ndarray:
 
 def six_tap_polyphase(theta: float, rho: float) -> MatLaurentPoly:
     """A(z) = V * (Q_theta^perp + z Q_theta) * (Q_rho^perp + z Q_rho)."""
-    A = MatLaurentPoly.from_constant(V_HAAR)
-    for angle in (theta, rho):
-        A = A * general_factor(rotation_projection(angle))
-    return A
+    return _projection_product([rotation_projection(theta), rotation_projection(rho)])
 
 
 def six_tap_from_angles(theta: float, rho: float) -> FilterBank:

@@ -110,6 +110,16 @@ class TestDesignVerify:
         assert "required 2049" in capsys.readouterr().err
         assert main(["verify", str(path), "--grid", "4096"]) == 1
 
+    @pytest.mark.parametrize("shift", [1024, 3000])
+    def test_verify_prints_class_of_shifted_bank(self, tmp_path, capsys, shift):
+        # det A is c*z^(1 + shift), beyond what phases on 1024 points resolve
+        d4 = daubechies4()
+        bank = FilterBank(2, tuple(f.shift(shift) for f in d4.filters))
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(bank.to_json()))
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"winding class {shift + 1}")
+
     def test_bank_in_h_convention_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(dict(daubechies4().to_json(), convention="h")))

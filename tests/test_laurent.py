@@ -184,6 +184,25 @@ class TestWinding:
     def test_grid_refinement_for_fast_phases(self):
         assert winding_number(LaurentPoly.monomial(600), grid_size=64) == 600
 
+    def test_dominant_term_beyond_the_default_grid(self):
+        # Rouche: the dominant coefficient's exponent, whatever the grid
+        assert winding_number(LaurentPoly.monomial(2048)) == 2048
+        assert winding_number(LaurentPoly.from_coeffs(0, [1.0] + [0.0] * 1023 + [2.0])) == 1024
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_class_counts_roots_in_the_disc(self, seed):
+        # no term dominates 40 normal coefficients, so the certified sampled
+        # path runs, with shifts beyond what phases of p on 1024 points
+        # resolve; the argument principle counts the roots of z**-min_deg * p
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        min_deg = int(rng.integers(-3000, 3000))
+        p = LaurentPoly.from_coeffs(min_deg, coeffs)
+        mags = np.abs(coeffs)
+        assert 2 * mags.max() < mags.sum()
+        inside = int(np.sum(np.abs(np.roots(coeffs[::-1])) < 1.0))
+        assert winding_number(p) == min_deg + inside
+
     def test_vanishing_on_torus_rejected(self):
         p = LaurentPoly.from_coeffs(0, [1.0, 1.0])  # vanishes at z = -1
         with pytest.raises(SingularOnTorusError):
