@@ -3,7 +3,8 @@
 Subcommands: design, verify, cascade, pyramid, packets, transfer, lift.
 Exit status 0 on success, 1 when a verification fails (quadrature check,
 Perron-Frobenius check, reconstruction residual), 2 on usage or input
-errors.  Numeric defaults are the table in `wavebank.defaults`.
+errors, unwritable outputs included.  Numeric defaults are the table in
+`wavebank.defaults`.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def _require_range(option: str, value: int, lo: int, hi: int) -> None:
 
 
 def _parse_json(path, parse, expected: str):
-    """parse(the JSON object in path), any KeyError, TypeError or ValueError
-    reported as an input error: "path: expected (the exception)"."""
+    """parse(the JSON object in path), any KeyError, TypeError, ValueError or
+    OverflowError reported as an input error: "path: expected (the exception)"."""
     obj = load_json(path)
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{path}: {expected} ({exc})") from exc
 
 
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, FactorizationError) as exc:
+    except (ValueError, OverflowError, OSError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

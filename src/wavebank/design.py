@@ -125,7 +125,10 @@ def daubechies4() -> FilterBank:
 
 
 def rotation_projection(angle: float) -> np.ndarray:
-    """Real rank-one projection onto span of (cos angle, sin angle)."""
+    """Real rank-one projection onto span of (cos angle, sin angle); the
+    angle must be finite (ValueError)."""
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
@@ -168,15 +171,14 @@ def _six_tap_coeff_grid(thetas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     )
 
 
-def find_angles_for_bank(
-    target: FilterBank, grid: int = 360, refine: int = 10
-) -> tuple[float, float, float]:
+def find_angles_for_bank(target: FilterBank) -> tuple[float, float, float]:
     """Grid-search the two-angle family for the closest match to target's low-pass.
 
-    Scans a grid x grid lattice over [0, 2*pi)^2, then refines once by a
-    factor `refine` around the best cell.  Returns (theta, rho, distance)
+    Scans a 360 x 360 lattice over [0, 2*pi)^2, then refines once by a
+    factor 10 around the best cell.  Returns (theta, rho, distance)
     where distance is the max abs coefficient difference on taps 0..5.
     """
+    grid, refine = 360, 10
     want = np.zeros(6)
     arr = target.lowpass.coeff_array()
     if target.lowpass.min_deg != 0 or len(arr) > 6 or np.max(np.abs(arr.imag)) > 0:
@@ -256,7 +258,10 @@ class LiftingStep:
         kind = obj["kind"]
         if kind == "diag":
             re, im = obj["k"]
-            return LiftingStep(kind, k_const=complex(re, im))
+            k = complex(re, im)
+            if not np.isfinite(k):
+                raise ValueError("diag constant must be finite")
+            return LiftingStep(kind, k_const=k)
         return LiftingStep(kind, poly=LaurentPoly.from_json(obj["poly"]))
 
 

@@ -213,15 +213,16 @@ def inverse_of_monomial_det(A: MatLaurentPoly) -> MatLaurentPoly:
     return MatLaurentPoly.from_coeffs(lo, interpolate_torus(inv, lo, span))
 
 
-def dual_filters(A: MatLaurentPoly, grid_size: int = DEFAULT_GRID) -> BiorthPair:
+def dual_filters(A: MatLaurentPoly) -> BiorthPair:
     """Primal bank of A together with the dual bank of (A*)^{-1}.
 
     Only FIR duals are supported: det A must be a monomial (then the adjugate
     divided by the determinant is again a Laurent polynomial).  det A must
-    also be bounded away from zero on the torus, relative to its scale.
+    also be bounded away from zero on DEFAULT_GRID points of the torus,
+    relative to its scale.
     """
     det = A.determinant()
-    if det.is_zero or np.min(np.abs(det.eval_grid(grid_size))) <= _vanishing_floor(det):
+    if det.is_zero or np.min(np.abs(det.eval_grid())) <= _vanishing_floor(det):
         raise SingularOnTorusError("det A (nearly) vanishes on the torus")
     _as_monomial(det)  # raises with det A attached when the inverse is not FIR
     dual_mat = inverse_of_monomial_det(A.adjoint())

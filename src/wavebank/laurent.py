@@ -97,6 +97,14 @@ def _trim_ends(offset: int, arr: np.ndarray, floor: float) -> tuple[int, np.ndar
     return offset + int(keep[0]), arr[keep[0] : keep[-1] + 1]
 
 
+def _finite(block):
+    """block, refused (ValueError) when a term holds a NaN or an infinity,
+    which json reads from NaN, Infinity and 1e999."""
+    if not np.isfinite(block.data).all():
+        raise ValueError("coefficients must be finite")
+    return block
+
+
 @dataclass(frozen=True, eq=False)
 class Block:
     """Terms from an integer index on: data[i] sits at index offset + i.
@@ -323,7 +331,7 @@ class LaurentPoly(Block):
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         coeffs = [complex(re, im) for re, im in obj["coeffs"]]
-        return LaurentPoly.from_coeffs(int(obj["min_deg"]), coeffs)
+        return _finite(LaurentPoly.from_coeffs(int(obj["min_deg"]), coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -478,7 +486,7 @@ class MatLaurentPoly(Block):
             np.array([[complex(re, im) for re, im in row] for row in m])
             for m in obj["coeffs"]
         ]
-        return MatLaurentPoly.from_coeffs(int(obj["min_deg"]), mats)
+        return _finite(MatLaurentPoly.from_coeffs(int(obj["min_deg"]), mats))
 
 
 @dataclass(frozen=True)

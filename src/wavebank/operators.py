@@ -127,7 +127,7 @@ def synthesize(bands: Sequence[Signal], bank: FilterBank) -> Signal:
 
 @dataclass(frozen=True)
 class PyramidDecomposition:
-    """Coarse band after `levels` steps plus per-level detail bands.
+    """Coarse band after len(details) steps plus per-level detail bands.
 
     details[l] holds the N-1 detail signals split off at recursion level
     l+1 (details[0] is the finest level).
@@ -135,10 +135,6 @@ class PyramidDecomposition:
 
     coarse: Signal
     details: tuple
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
     def total_energy(self) -> float:
         return self.coarse.energy() + sum(

@@ -89,10 +89,12 @@ class TransferSpec:
         scale_n: int,
         band_m: Optional[int] = None,
         require_nonnegative: bool = False,
-        grid_size: int = DEFAULT_GRID,
     ) -> "TransferSpec":
+        """Spec for weight w; band_m defaults to `min_band`.  With
+        require_nonnegative, w is sampled on DEFAULT_GRID points of the torus
+        and refused (ValueError) when its real part drops below -1e-9."""
         if require_nonnegative:
-            low = float(np.min(w.eval_grid(grid_size).real))
+            low = float(np.min(w.eval_grid(DEFAULT_GRID).real))
             if low < -1e-9:
                 raise ValueError(f"weight is not nonnegative on the torus (min {low:.3e})")
         if band_m is None:
@@ -100,11 +102,10 @@ class TransferSpec:
         return TransferSpec(w, scale_n, band_m)
 
     @staticmethod
-    def for_bank(bank: FilterBank, band_m: Optional[int] = None) -> "TransferSpec":
-        """Spec with W = |m_0|^2; nonnegativity holds by construction."""
-        return TransferSpec.from_weight(
-            weight_from_lowpass(bank.lowpass), bank.scale_n, band_m
-        )
+    def for_bank(bank: FilterBank) -> "TransferSpec":
+        """Spec with W = |m_0|^2 on the least window `min_band`; nonnegativity
+        holds by construction."""
+        return TransferSpec.from_weight(weight_from_lowpass(bank.lowpass), bank.scale_n)
 
 
 def transfer_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
@@ -156,24 +157,22 @@ class SpectrumReport:
         }
 
 
-def spectrum(spec: TransferSpec, tol: float = PF_TOL) -> SpectrumReport:
+def spectrum(spec: TransferSpec) -> SpectrumReport:
     """Eigen-decomposition of the truncated matrix and the PF condition.
 
-    pf_holds is true iff every eigenvalue of modulus >= 1 - tol lies within
-    tol of 1 and there is exactly one such (the fixed space is simple).  The
-    fixed vector is normalized so its value at z = 1 (the sum of its mode
-    coefficients) equals 1 when that value is nonzero.
+    pf_holds is true iff every eigenvalue of modulus >= 1 - PF_TOL lies
+    within PF_TOL of 1 and there is exactly one such (the fixed space is
+    simple).  The fixed vector is normalized so its value at z = 1 (the sum
+    of its mode coefficients) equals 1 when that value is nonzero.  A failed
+    eigen-solve (a non-finite weight) raises np.linalg.LinAlgError, a
+    ValueError.
     """
-    mat = transfer_matrix(spec)
-    try:
-        values, vectors = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise RuntimeError(f"eigen-solve failed: {exc}") from exc
+    values, vectors = np.linalg.eig(transfer_matrix(spec))
     order = np.argsort(-np.abs(values))
     values = values[order]
     vectors = vectors[:, order]
-    peripheral = tuple(complex(l) for l in values if abs(l) >= 1.0 - tol)
-    pf = len(peripheral) == 1 and abs(peripheral[0] - 1.0) <= tol
+    peripheral = tuple(complex(l) for l in values if abs(l) >= 1.0 - PF_TOL)
+    pf = len(peripheral) == 1 and abs(peripheral[0] - 1.0) <= PF_TOL
     idx = int(np.argmin(np.abs(values - 1.0)))
     vec = vectors[:, idx]
     at_one = np.sum(vec)
@@ -583,47 +582,45 @@ class PerReport:
         }
 
 
-def per_check(
-    bank: FilterBank,
-    t_points: int = 64,
-    n_max: int = N_MAX,
-    k_terms: int = K_TERMS,
-    flat_tol: float = 1e-2,
-) -> PerReport:
+_FLAT_TOL = 1e-2
+
+
+def per_check(bank: FilterBank, t_points: int = 64, n_max: int = N_MAX) -> PerReport:
     """Max deviation of the periodization from 1 over the t-grid 2 pi i / t_points.
 
     The periodization is exact when `per_exact` certifies it: the deviation
     is then max|PER - 1| on the grid, or, when there is no Cohen cycle and
     PER = 1, the QMF residual max_n |w_{N n} - delta_n| of W scaled to
     W(1) = N (exactly 0.0 for the two-tap bank).  Otherwise it
-    is the truncated sum `per_samples` with n_max and k_terms.
+    is the truncated sum `per_samples` with n_max and K_TERMS factors.
+    is_constant_1 holds when the deviation is at most _FLAT_TOL = 0.01.
     The reported tail estimate N / (pi**2 n_max) is the O(1/n_max) size of the
     truncation error of that sum (a heuristic, not a bound).
     Raises ValueError for t_points < 1, for n_max < 1, and for an n_max whose
-    tail estimate exceeds flat_tol (the message names the least admissible
-    n_max, ceil(N / (pi**2 flat_tol))), on either path.
+    tail estimate exceeds _FLAT_TOL (the message names the least admissible
+    n_max, ceil(N / (pi**2 _FLAT_TOL))), on either path.
     """
     if t_points < 1:
         raise ValueError(f"t_points must be >= 1, got {t_points}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    least = math.ceil(bank.scale_n / (math.pi**2 * flat_tol))
+    least = math.ceil(bank.scale_n / (math.pi**2 * _FLAT_TOL))
     tail = float(bank.scale_n) / (math.pi**2 * n_max)
     if n_max < least:
         raise ValueError(
             f"n_max {n_max} leaves a truncation tail estimate of {tail:.3e}, above "
-            f"the flatness tolerance {flat_tol:g}; n_max must be >= {least}"
+            f"the flatness tolerance {_FLAT_TOL:g}; n_max must be >= {least}"
         )
     t = 2 * np.pi * np.arange(t_points) / t_points
     exact = per_exact(bank)
     if exact is None:
-        per = per_samples(bank, t, n_max=n_max, k_terms=k_terms)
+        per = per_samples(bank, t, n_max=n_max)
         dev = float(np.max(np.abs(per - 1.0)))
     elif exact.fixed_dim == 1:
         dev = exact.qmf_residual
     else:
         dev = float(np.max(np.abs(exact.eval(t) - 1.0)))
-    return PerReport(dev, dev <= flat_tol, tail, n_max, certified=exact is not None)
+    return PerReport(dev, dev <= _FLAT_TOL, tail, n_max, certified=exact is not None)
 
 
 def fixed_point_check(

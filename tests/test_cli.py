@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -436,6 +437,84 @@ class TestJsonInputErrors:
         assert main([a.format(**names) for a in argv] + [str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}: ") and reason in err
+
+
+def _d4_json_with(change):
+    """The four-tap bank file's JSON text after change(obj) edits it."""
+    obj = daubechies4().to_json()
+    change(obj)
+    return json.dumps(obj)
+
+
+def _set_min_deg(obj, degree):
+    for f in obj["filters"]:
+        f["min_deg"] = degree
+
+
+class TestExitCodes:
+    """Unwritable outputs, oversized and non-finite numbers exit 2 with a
+    one-line message, never 1 or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["design", "--daubechies4", "-o", "{tmp}/missing/d4.json"], None),
+            (["cascade", "{bank}", "--j", "4", "-o", "{tmp}/missing/phi.csv"], None),
+            (["pyramid", "{bank}", "--signal", "{signal}", "--levels", "1",
+              "--out-dir", "{input}"], "x"),
+            (["verify", "{input}"],
+             _d4_json_with(lambda obj: obj["filters"][0]["coeffs"][0].__setitem__(0, 10**400))),
+            (["design", "-o", "{tmp}/bank.json", "--projections", "{input}"],
+             '{"projections": [{"lambda": %d, "theta": 0.5}]}' % 10**400),
+            (["verify", "{input}"], _d4_json_with(lambda obj: _set_min_deg(obj, 10**20))),
+        ],
+        ids=["design-output", "cascade-output", "pyramid-out-dir-is-a-file",
+             "huge-tap", "huge-lambda", "huge-min-deg"],
+    )
+    def test_unwritable_or_oversized_exits_2(
+        self, tmp_path, d4_file, signal_file, capsys, argv, text
+    ):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        names = dict(tmp=tmp_path, bank=d4_file, signal=signal_file[0], input=path)
+        assert main([a.format(**names) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("error: ", "input error: ")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["verify", "{input}"],
+             _d4_json_with(lambda obj: obj["filters"][0]["coeffs"][1].__setitem__(0, math.nan))),
+            (["transfer", "{input}", "--per", "-o", "{tmp}/t.json"],
+             _d4_json_with(lambda obj: obj["filters"][0]["coeffs"][1].__setitem__(0, math.nan))),
+            (["lift", "{input}", "--recompose", "-o", "{tmp}/m.json"],
+             '{"steps": [{"kind": "lower", "poly": {"min_deg": 0, "coeffs": [[NaN, 0]]}}]}'),
+            (["lift", "{input}", "--recompose", "-o", "{tmp}/m.json"],
+             '{"steps": [{"kind": "diag", "k": [Infinity, 0]}]}'),
+            (["lift", "{input}", "-o", "{tmp}/s.json"],
+             '{"n": 2, "min_deg": 0, "coeffs": [[[[1, 0], [0, 0]], [[0, 0], [1e999, 0]]]]}'),
+        ],
+        ids=["nan-tap-verify", "nan-tap-transfer", "nan-step", "infinite-diag",
+             "overflowing-matrix-entry"],
+    )
+    def test_non_finite_numbers_are_input_errors(
+        self, tmp_path, capsys, argv, text
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([a.format(tmp=tmp_path, input=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ") and "must be finite" in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("angles", [["nan", "0"], ["0", "inf"]])
+    def test_non_finite_six_tap_angle_exits_2(self, tmp_path, capsys, angles):
+        out = tmp_path / "six.json"
+        assert main(["design", "--six-tap", *angles, "-o", str(out)]) == 2
+        assert "angle must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSignalCsv:

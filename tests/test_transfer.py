@@ -346,6 +346,13 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="nonnegative"):
             TransferSpec.from_weight(negative, 2, require_nonnegative=True)
 
+    def test_failed_eigen_solve_is_a_value_error(self):
+        # the CLI reports a ValueError as an error with exit 2
+        w = LaurentPoly.from_coeffs(-1, [0.5, np.nan, 0.5])
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            spectrum(TransferSpec.from_weight(w, 2))
+        assert isinstance(exc.value, ValueError)
+
 
 class TestPeriodization:
     def test_haar_flat(self):
