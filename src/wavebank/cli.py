@@ -80,13 +80,25 @@ def _load_bank(path) -> FilterBank:
     return _parse_json(path, FilterBank.from_json, "not a filter bank file")
 
 
+def _read_signal(path):
+    """The signal CSV at path, a NaN or infinite sample an input error."""
+    signal = read_signal_csv(path)
+    bad = np.flatnonzero(~np.isfinite(signal.data))
+    if len(bad):
+        raise InputFormatError(
+            f"{path}: samples must be finite, index {signal.offset + int(bad[0])} "
+            f"is {complex(signal.data[bad[0]])}"
+        )
+    return signal
+
+
 def _cmd_design(args) -> int:
     _require_range("--grid", args.grid, 1, defaults.MAX_GRID)
     if args.daubechies4:
         bank = daubechies4()
     elif args.six_tap is not None:
         bank = six_tap_from_angles(args.six_tap[0], args.six_tap[1])
-    elif args.projections:
+    else:
         params = _parse_json(
             args.projections,
             lambda obj: [
@@ -96,9 +108,6 @@ def _cmd_design(args) -> int:
             "expected {'projections': [{'lambda': .., 'theta': ..}, ...]}",
         )
         bank = bank_from_projections(params)
-    else:
-        print("design: choose --projections, --daubechies4 or --six-tap", file=sys.stderr)
-        return USAGE_ERROR
     dump_json(bank.to_json(), args.output)
     report = check_qmf(bank, args.grid)
     print(f"wrote {args.output} (quadrature residual {report.max_residual:.3e})")
@@ -125,15 +134,14 @@ def _cmd_verify(args) -> int:
             return USAGE_ERROR
         banks = [(str(args.bank), _load_bank(args.bank))]
     for name, bank in banks:
-        qmf = check_qmf(bank, args.grid, args.tol)
+        qmf = check_qmf(bank, args.grid)
         A = polyphase_from_filters(bank)
-        unit = is_unitary_on_torus(A, args.grid, args.tol)
+        unit = is_unitary_on_torus(A, args.grid)
         try:
             winding_txt = str(k1_class(A, args.grid))
         except SingularOnTorusError:
             winding_txt = "undefined (det vanishes on torus)"
-        agree = qmf.passed == unit.passed
-        status = "ok" if (qmf.passed and unit.passed and agree) else "FAIL"
+        status = "ok" if (qmf.passed and unit.passed) else "FAIL"
         print(
             f"{name}: {status} quadrature residual {qmf.max_residual:.3e} "
             f"(lowpass {'ok' if qmf.lowpass_ok else 'off'}), polyphase residual "
@@ -141,9 +149,8 @@ def _cmd_verify(args) -> int:
         )
         if not (qmf.passed and unit.passed):
             failures += 1
-        if not agree:
+        if qmf.passed != unit.passed:
             print(f"{name}: quadrature and polyphase verdicts disagree", file=sys.stderr)
-            failures += 1
     return VERIFY_FAILED if failures else OK
 
 
@@ -177,7 +184,7 @@ def _cmd_cascade(args) -> int:
 def _cmd_pyramid(args) -> int:
     _require_range("--levels", args.levels, 1, defaults.MAX_LEVELS)
     bank = _load_bank(args.bank)
-    signal = read_signal_csv(args.signal)
+    signal = _read_signal(args.signal)
     dec = pyramid_decompose(signal, bank, args.levels)
     files = [("coarse.csv", dec.coarse)]
     for level, bands in enumerate(dec.details, start=1):
@@ -205,7 +212,7 @@ def _cmd_packets(args) -> int:
             f"{option} {depth} allows {bank.scale_n}**{depth} leaves, "
             f"more than {2**defaults.MAX_DEPTH}"
         )
-    signal = read_signal_csv(args.signal)
+    signal = _read_signal(args.signal)
     if partition is None:
         partition = PacketPartition.full(depth, bank.scale_n)
     leaf_map = packet_decompose(signal, bank, partition)
@@ -217,14 +224,14 @@ def _cmd_packets(args) -> int:
 
 def _write_and_reconstruct(args, files, what: str, signal, reconstruct) -> int:
     """Write each (name, signal) of files under --out-dir, then fail (exit 1)
-    when reconstruct() is off signal by more than --tol * max(1, |signal|)."""
+    when reconstruct() is off signal by more than TOL * max(1, |signal|)."""
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, sig in files:
         write_signal_csv(sig, outdir / name)
     err = (reconstruct() - signal).norm()
     print(f"wrote {len(files)} {what} to {outdir}; reconstruction error {err:.3e}")
-    return OK if err <= args.tol * max(1.0, signal.norm()) else VERIFY_FAILED
+    return OK if err <= defaults.TOL * max(1.0, signal.norm()) else VERIFY_FAILED
 
 
 def _cmd_transfer(args) -> int:
@@ -278,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="construct a filter bank and write it as JSON")
-    p.add_argument("--projections", help="JSON file of projection parameters")
-    p.add_argument("--daubechies4", action="store_true", help="the four-tap bank")
-    p.add_argument("--six-tap", nargs=2, type=float, metavar=("THETA", "RHO"))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--projections", help="JSON file of projection parameters")
+    mode.add_argument("--daubechies4", action="store_true", help="the four-tap bank")
+    mode.add_argument("--six-tap", nargs=2, type=float, metavar=("THETA", "RHO"))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--grid", type=int, default=defaults.GRID_SIZE)
     p.set_defaults(func=_cmd_design)
@@ -291,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify K random projection-designed banks instead")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", type=int, default=defaults.GRID_SIZE)
-    p.add_argument("--tol", type=float, default=defaults.TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cascade", help="iterate the scaling-function cascade")
@@ -308,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", required=True, help="CSV signal (index,re,im)")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tol", type=float, default=defaults.TOL)
     p.set_defaults(func=_cmd_pyramid)
 
     p = sub.add_parser("packets", help="wavelet packet transform of a signal")
@@ -317,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="JSON {'leaves': [[k,n],...]}")
     p.add_argument("--depth", type=int, default=3, help="full partition depth")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--tol", type=float, default=defaults.TOL)
     p.set_defaults(func=_cmd_packets)
 
     p = sub.add_parser("transfer", help="transfer-operator spectrum report")
@@ -342,7 +347,7 @@ _parser = None
 def main(argv=None) -> int:
     """Run one command line and return its exit status.  The parser is built
     on the first call and reused, so the option defaults it takes from
-    `defaults` (GRID_SIZE, TOL, J_LEVEL, ITERS, N_MAX) are those of that call."""
+    `defaults` (GRID_SIZE, J_LEVEL, ITERS, N_MAX) are those of that call."""
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -330,13 +330,6 @@ def _repr_frame(v: np.ndarray):
     return text, keep
 
 
-def _float_cells(a: np.ndarray) -> list:
-    """repr of each float of a; all +0.0 is "0.0" repeated."""
-    if not (a.any() or np.signbit(a).any()):
-        return ["0.0"] * len(a)
-    return list(map(repr, a.tolist()))
-
-
 def _value_frames(data: np.ndarray) -> list:
     """The (text, keep) frames of the repr of data.real and of data.imag, from
     one _repr_frame call; a part that is all +0.0, as the imaginary part of
@@ -528,8 +521,8 @@ def write_grid_csv(g: GridFunction, path) -> None:
         len(data),
         [
             x_cells,
-            lambda rows: _float_cells(data.real[rows]),
-            lambda rows: _float_cells(data.imag[rows]),
+            lambda rows: list(map(repr, data.real[rows].tolist())),
+            lambda rows: list(map(repr, data.imag[rows].tolist())),
         ],
         frames=lambda rows: _join_frames(
             [_str_frame(x_cells(rows)), *_value_frames(data[rows])], b"\r\n"

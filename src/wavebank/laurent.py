@@ -333,14 +333,6 @@ class LaurentPoly(Block):
         coeffs = [complex(re, im) for re, im in obj["coeffs"]]
         return _finite(LaurentPoly.from_coeffs(int(obj["min_deg"]), coeffs))
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = ", ".join(
-            f"z^{self.min_deg + k}: {c:.6g}" for k, c in enumerate(self.data.tolist())
-        )
-        return f"LaurentPoly({terms})"
-
 
 def _re_im_pairs(arr: np.ndarray) -> list:
     """arr as nested lists with each complex entry a [real, imag] pair."""

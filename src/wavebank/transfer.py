@@ -469,7 +469,10 @@ def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
     The candidates are the roots of z**D (N - W(z)) near the unit circle,
     z = exp(-i t).  Following the map from candidate to nearest candidate
     gives the cycles; a p-cycle is then snapped to the exact points
-    2 pi j / (N**p - 1) and kept only if W = N there to _CYCLE_TOL.
+    2 pi j / (N**p - 1) and kept only if W = N there to _CYCLE_TOL.  The
+    integer j is read from the itinerary: t_0 / 2 pi = j / (N**p - 1) has
+    the repeating base-N digits floor(N t_i / 2 pi), i = 0..p-1, so cycles
+    of any length snap exactly; a cycle with a digit in doubt is skipped.
     Returns a list of arrays of cycle angles.
     """
     d = max(-w.min_deg, w.max_deg)
@@ -499,12 +502,17 @@ def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
         orbit = [start]
         while len(orbit) <= len(zeros) and successor.get(orbit[-1], start) != start:
             orbit.append(successor[orbit[-1]])
-        # each cycle once, from its least candidate; 2**52 keeps j exact
-        period = scale_n ** len(orbit) - 1
-        if successor.get(orbit[-1]) != start or min(orbit) != start or period >= 2**52:
+        # each cycle once, from its least candidate
+        if successor.get(orbit[-1]) != start or min(orbit) != start:
             continue
-        j = round(zeros[start] * period / (2 * np.pi))
-        snapped = np.array([j * scale_n**i % period for i in range(len(orbit))])
+        x = scale_n * zeros[orbit] / (2 * np.pi)
+        if np.any(np.abs(x - np.round(x)) <= scale_n * _ROOT_TOL):
+            continue
+        j = 0
+        for digit in np.floor(x).astype(int).tolist():
+            j = j * scale_n + digit
+        period = scale_n ** len(orbit) - 1
+        snapped = np.array([float(j * scale_n**i % period) for i in range(len(orbit))])
         snapped = 2 * np.pi * snapped / period
         if np.all(np.abs(w.eval_angle(snapped) - scale_n) <= _CYCLE_TOL * mass):
             cycles.append(snapped)

@@ -516,6 +516,19 @@ class TestExitCodes:
         assert "angle must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["pyramid", "--levels", "1"], ["packets", "--depth", "1"]],
+                             ids=["pyramid", "packets"])
+    def test_non_finite_signal_sample_exits_2(self, tmp_path, d4_file, capsys, argv):
+        sig = tmp_path / "s.csv"
+        sig.write_text("index,re,im\n0,1.0,0.0\n1,nan,0.0\n2,inf,0.0\n3,2.0,0.0\n")
+        out = tmp_path / "out"
+        command, *options = argv
+        assert main([command, str(d4_file), "--signal", str(sig), *options,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {sig}: ") and "must be finite" in err
+        assert not out.exists()
+
 
 class TestSignalCsv:
     def test_round_trip(self, tmp_path):
@@ -553,4 +566,33 @@ def test_design_has_no_tol_option(tmp_path, capsys):
         main(["design", "--daubechies4", "--tol", "1e-3", "-o", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{bank}"],
+     ["pyramid", "{bank}", "--signal", "{signal}", "--out-dir", "{tmp}/out"],
+     ["packets", "{bank}", "--signal", "{signal}", "--out-dir", "{tmp}/out"]],
+    ids=["verify", "pyramid", "packets"],
+)
+def test_checks_have_no_tol_option(tmp_path, d4_file, signal_file, capsys, argv):
+    # every verdict is taken at defaults.TOL
+    names = dict(tmp=tmp_path, bank=d4_file, signal=signal_file[0])
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**names) for a in argv] + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "modes", [[], ["--daubechies4", "--six-tap", "0.7", "2.1"]], ids=["none", "two"]
+)
+def test_design_takes_exactly_one_mode(tmp_path, capsys, modes):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["design", *modes, "-o", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: wavebank design")
     assert not out.exists()

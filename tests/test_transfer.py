@@ -106,12 +106,24 @@ def complex_eight_tap():
     return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps * 2**0.5))
 
 
+def box_bank(length):
+    """Low-pass (1 + z**length) / sqrt(2): its scaling function is the box on
+    [0, length], whose autocorrelation is the hat (length - |k|) / length**2."""
+    taps = np.zeros(length + 1)
+    taps[[0, length]] = 2**-0.5
+    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+
+
 def long_stretched_haar():
     """Low-pass (1 + z**15) / sqrt(2): its scaling function is the box on
     [0, 15], and W = 2 on every multiple of 2 pi / 15."""
-    taps = np.zeros(16)
-    taps[[0, 15]] = 2**-0.5
-    return FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+    return box_bank(15)
+
+
+def assert_hat(exact, length):
+    m = (len(exact.coeffs) - 1) // 2
+    want = np.maximum(length - np.abs(np.arange(-m, m + 1)), 0) / length**2
+    assert np.max(np.abs(exact.coeffs - want)) <= 1e-12
 
 
 def one_sided_cycle_bank():
@@ -591,6 +603,28 @@ class TestExactPeriodization:
     def test_n_max_still_validated(self):
         with pytest.raises(ValueError, match="n_max must be >= 21"):
             per_check(daubechies4(), t_points=8, n_max=20)
+
+    def test_106_cycle_is_certified(self, monkeypatch):
+        # the cycle's least point is 2 pi j / (2**106 - 1) with j near
+        # 2**106 / 107, beyond a float's 53 bits; the truncated sum, seconds
+        # long on this bank, must not be taken
+        def no_sum(*args, **kwargs):
+            raise AssertionError("per_check fell back to the truncated sum")
+
+        monkeypatch.setattr(transfer, "per_samples", no_sum)
+        bank = box_bank(107)
+        report = per_check(bank)
+        assert report.certified and not report.is_constant_1
+        exact = transfer.per_exact(bank)
+        assert [len(c) for c in exact.cycles] == [106]
+        assert_hat(exact, 107)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(st.sampled_from(range(1, 128, 2)))
+    def test_every_odd_box_is_decided_exactly(self, length):
+        exact = transfer.per_exact(box_bank(length))
+        assert exact is not None
+        assert_hat(exact, length)
 
 
 class TestTailPolynomial:
