@@ -12,8 +12,9 @@ The text comes from exact integer arithmetic in numpy:
   block is one byte matrix and a keep mask, compressed and written at once.
   Blocks of fewer than _FRAME_ROWS rows, and indices of magnitude 10**18
   and more, keep one `repr` per cell;
-- the grid x column (`_grid_x_cells`) and SVG coordinates (`_fixed2_cells`),
-  whose docstrings say when a cell falls back to `repr` or "%.2f".
+- SVG points (`_fixed2_units`): blocks of _FRAME_ROWS points and more are byte
+  frames, unless they hold NaN, an infinity or |v| >= 2**40: "%.2f" per cell
+  then.  The grid x column (`_grid_x_cells`) says when it falls back to `repr`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def dump_json(obj, path) -> None:
 
 
 _BLOCK_ROWS = 1 << 13
-# Blocks of signal and grid rows from this many on are built as byte frames
-# in numpy.  Below it the frame path's fixed cost, some 200 numpy calls,
-# exceeds what it saves over a repr per cell: on files of random complex
+# Blocks of signal and grid rows and of SVG points from this many on are byte
+# frames built in numpy.  Below it the frame path's fixed cost, some 200 numpy
+# calls, exceeds what it saves over a repr per cell: on files of random complex
 # values both paths took the same time at 512-640 rows (numpy 2.4, x86-64).
 _FRAME_ROWS = 600
 
@@ -69,7 +70,7 @@ def _write_rows(
     columns[c](rows) gives column c's cells for the slice `rows`.  A row is
     lead (not before the first row), its cells joined by ",", then end.
     frames(rows), where given, gives instead the bytes of each block of at
-    least _FRAME_ROWS rows.  A failure part way removes the file.
+    least _FRAME_ROWS rows (None: the row path).  A failure part way removes the file.
     """
     path = Path(path)
     template = [lead] + [None, ","] * len(columns)
@@ -79,8 +80,10 @@ def _write_rows(
             fh.write(head.encode())
             for start in range(0, n, _BLOCK_ROWS):
                 rows = slice(start, min(start + _BLOCK_ROWS, n))
-                if frames is not None and rows.stop - start >= _FRAME_ROWS:
-                    fh.write(frames(rows))
+                block = frames(rows) if frames and rows.stop - start >= _FRAME_ROWS else None
+                if block is not None:
+                    fh.write(block)
+                    del block  # held into the next block, it made 2**17-row files 8 % slower
                     continue
                 parts = template * (rows.stop - start)
                 for c, column in enumerate(columns):
@@ -141,13 +144,15 @@ def _decimal_frame(mag: np.ndarray, neg: np.ndarray, scale: int, decimals=0):
     quads = np.empty((len(mag), -(-width // 4)), dtype=np.uint32)
     rest = mag
     for g in range(quads.shape[1] - 1, -1, -1):
-        rest, quads[:, g] = rest // 10**4, _digit_quads()[rest % 10**4]
+        high = rest // 10**4  # numpy's int64 % costs several times this product
+        rest, quads[:, g] = high, _digit_quads()[rest - high * 10**4]
     digits = quads.view(np.uint8)[:, 4 * quads.shape[1] - width :]
     text = np.insert(digits, [0, point], [ord("-"), ord(".")], axis=1)
     keep = np.ones(text.shape, dtype=bool)
     keep[:, 0] = neg
     # no leading zeros: the integer digit worth 10**p needs mag >= 10**(p + scale)
-    keep[:, 1:point] = mag[:, None] >= 10 ** np.arange(width - 1, scale, -1, dtype=np.int64)
+    for col in range(1, point):  # one column at a time: numpy is slow on narrow rows
+        keep[:, col] = mag >= 10 ** (width - col)
     keep[:, point + 1] = scale > 0
     keep[:, point + 2 :] = np.arange(scale) < np.reshape(decimals, (-1, 1))
     return text, keep
@@ -369,9 +374,9 @@ def _grid_x_cells(k: np.ndarray, j_level: int) -> list:
     return cells
 
 
-def _fixed2_cells(v: np.ndarray) -> list:
-    """"%.2f" % f for each float f of v: rounded half to even in integers
-    from the mantissa, by "%.2f" itself for NaN, infinities and |f| >= 2**40."""
+def _fixed2_units(v: np.ndarray):
+    """(q, neg, exact) for the floats v: where exact (finite, |f| < 2**40),
+    "%.2f" % f is q / 100 with '-' where neg, rounded half to even in integers."""
     m, e = np.frexp(v)  # |v| = |m| 2**e with 0.5 <= |m| < 1, or m = 0
     exact = np.isfinite(v) & (e <= 40)
     mant = (np.where(exact, np.abs(m), 0.0) * 2.0**53).astype(np.int64)
@@ -382,8 +387,14 @@ def _fixed2_cells(v: np.ndarray) -> list:
     q = num >> s
     rem = num - (q << s)
     half = np.int64(1) << (s - 1)
-    q += (rem > half) | ((rem == half) & (q % 2 == 1))  # round half to even
-    cells = _frame_cells(_decimal_frame(q, np.signbit(v), 2, 2))
+    q += (rem > half) | ((rem == half) & (q & 1 == 1))  # round half to even
+    return q, np.signbit(v), exact
+
+
+def _fixed2_cells(v: np.ndarray) -> list:
+    """"%.2f" % f for each float f of v, by "%.2f" itself where not exact."""
+    q, neg, exact = _fixed2_units(v)
+    cells = _frame_cells(_decimal_frame(q, neg, 2, 2))
     for i in np.flatnonzero(~exact).tolist():
         cells[i] = "%.2f" % float(v[i])
     return cells
@@ -571,6 +582,15 @@ def write_svg_polyline(
     sy = (height - 2 * pad) / (y1 - y0)
     px = pad + (xs - x0) * sx
     py = height - pad - (ys - y0) * sy
+
+    def frames(rows):
+        q, neg, exact = _fixed2_units(np.concatenate([px[rows], py[rows]]))
+        if exact.all():  # else None: the block takes the row path
+            text, keep = _decimal_frame(q, neg, 2, 2)
+            n = rows.stop - rows.start
+            block = _join_frames([(text[:n], keep[:n]), (text[n:], keep[n:])], b" ")
+            return b" " * bool(rows.start) + block[:-1]
+
     _write_rows(
         path,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -583,4 +603,5 @@ def write_svg_polyline(
         tail='" fill="none" stroke="#1f77b4" stroke-width="1"/>\n</svg>\n',
         lead=" ",
         end="",
+        frames=frames,
     )

@@ -97,11 +97,15 @@ def _trim_ends(offset: int, arr: np.ndarray, floor: float) -> tuple[int, np.ndar
     return offset + int(keep[0]), arr[keep[0] : keep[-1] + 1]
 
 
-def _finite(block):
-    """block, refused (ValueError) when a term holds a NaN or an infinity,
-    which json reads from NaN, Infinity and 1e999."""
+def _checked(block, obj: dict):
+    """block, read from the JSON obj, refused (ValueError) when a term holds a
+    NaN or an infinity, which json reads from NaN, Infinity and 1e999, or when
+    a degree from min_deg to min_deg + len(coeffs) - 1 falls outside int64."""
     if not np.isfinite(block.data).all():
         raise ValueError("coefficients must be finite")
+    lo, hi = int(obj["min_deg"]), int(obj["min_deg"]) + len(obj["coeffs"]) - 1
+    if lo < np.iinfo(np.int64).min or hi > np.iinfo(np.int64).max:
+        raise ValueError(f"min_deg {lo}: degrees {lo}..{hi} do not all fit in int64")
     return block
 
 
@@ -331,7 +335,7 @@ class LaurentPoly(Block):
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         coeffs = [complex(re, im) for re, im in obj["coeffs"]]
-        return _finite(LaurentPoly.from_coeffs(int(obj["min_deg"]), coeffs))
+        return _checked(LaurentPoly.from_coeffs(int(obj["min_deg"]), coeffs), obj)
 
 
 def _re_im_pairs(arr: np.ndarray) -> list:
@@ -478,7 +482,7 @@ class MatLaurentPoly(Block):
             np.array([[complex(re, im) for re, im in row] for row in m])
             for m in obj["coeffs"]
         ]
-        return _finite(MatLaurentPoly.from_coeffs(int(obj["min_deg"]), mats))
+        return _checked(MatLaurentPoly.from_coeffs(int(obj["min_deg"]), mats), obj)
 
 
 @dataclass(frozen=True)

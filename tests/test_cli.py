@@ -509,6 +509,32 @@ class TestExitCodes:
         assert err.startswith(f"input error: {path}: ") and "must be finite" in err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["verify", "{input}"], _d4_json_with(lambda obj: _set_min_deg(obj, 10**20))),
+            (["verify", "{input}"],
+             _d4_json_with(lambda obj: obj["filters"][0].__setitem__("min_deg", 10**20))),
+            (["lift", "{input}", "-o", "{tmp}/s.json"],
+             '{"n": 1, "min_deg": %d, "coeffs": [[[[1, 0]]], [[[1, 0]]]]}' % (2**63 - 1)),
+        ],
+        ids=["all-filters", "lowpass-only", "matrix-end"],
+    )
+    def test_min_deg_beyond_int64_is_input_error(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([a.format(tmp=tmp_path, input=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ") and "min_deg" in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_min_deg_near_the_int64_end_still_verifies(self, tmp_path, capsys):
+        shift = 9223372036854775000
+        path = tmp_path / "input.json"
+        path.write_text(_d4_json_with(lambda obj: _set_min_deg(obj, shift)))
+        assert main(["verify", str(path)]) == 0
+        assert f"winding class {shift + 1}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("angles", [["nan", "0"], ["0", "inf"]])
     def test_non_finite_six_tap_angle_exits_2(self, tmp_path, capsys, angles):
         out = tmp_path / "six.json"

@@ -399,6 +399,44 @@ class TestExactText:
         write_grid_csv(g, tmp_path / "g.csv")
         assert (tmp_path / "g.csv").read_bytes() == _reference_grid_bytes(g, tmp_path / "r.csv")
 
+    @pytest.mark.parametrize(
+        "n", [fileio._FRAME_ROWS - 1, fileio._FRAME_ROWS, fileio._FRAME_ROWS + 1,
+              2**13 + fileio._FRAME_ROWS],  # the last: two frame blocks
+    )
+    def test_svg_frame_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.uniform(-3.0, 4.0, n))
+        ys = np.cumsum(rng.normal(size=n))
+        write_svg_polyline(xs, ys, tmp_path / "p.svg")
+        assert (tmp_path / "p.svg").read_bytes() == _reference_svg_bytes(xs, ys)
+
+    @pytest.mark.parametrize("special", ["nan-y", "nan-pixel", "huge-pixel"])
+    def test_svg_frame_block_with_a_special_cell_takes_the_row_path(
+        self, tmp_path, monkeypatch, special
+    ):
+        # a NaN y makes every y pixel NaN; an infinite y makes its own pixel
+        # NaN; a height of 2**45 + 20 puts the lowest y at pixel 2**45 + 10
+        n, height = 2 * fileio._FRAME_ROWS, 320
+        xs = np.arange(n) / 64.0
+        ys = np.sin(xs)
+        if special == "huge-pixel":
+            height = 2**45 + 20
+        else:
+            ys[n // 2] = np.nan if special == "nan-y" else np.inf
+        calls = []
+        real = fileio._fixed2_cells
+
+        def row_path_cells(v):
+            calls.append(len(v))
+            return real(v)
+
+        monkeypatch.setattr(fileio, "_fixed2_cells", row_path_cells)
+        with np.errstate(invalid="ignore"):
+            write_svg_polyline(xs, ys, tmp_path / "p.svg", height=height)
+            want = _reference_svg_bytes(xs, ys, height=height)
+        assert calls == [n, n]  # the x and y columns of the row path
+        assert (tmp_path / "p.svg").read_bytes() == want
+
     def test_frame_block_with_special_cells(self, tmp_path):
         rng = np.random.default_rng(8)
         n = 2 * fileio._FRAME_ROWS
@@ -463,6 +501,25 @@ class TestExactText:
         with pytest.raises(RuntimeError, match="formatter failed"):
             write_grid_csv(g, path)
         assert calls == [2**13, 5]
+        assert not path.exists()
+
+    def test_failed_svg_frame_block_leaves_no_file(self, tmp_path, monkeypatch):
+        calls = []
+        real = fileio._fixed2_units
+
+        def fail_on_second_block(v):
+            calls.append(len(v))
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return real(v)
+
+        monkeypatch.setattr(fileio, "_fixed2_units", fail_on_second_block)
+        path = tmp_path / "p.svg"
+        path.write_text("an earlier file\n")
+        n = 2**13 + fileio._FRAME_ROWS
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_svg_polyline(np.arange(n), np.ones(n), path)
+        assert calls == [2 * 2**13, 2 * fileio._FRAME_ROWS]  # x and y of each block
         assert not path.exists()
 
 
@@ -566,6 +623,22 @@ class TestEndToEndBytes:
         assert sorted(p.name for p in out.iterdir()) == [
             "phi.csv", "phi.svg", "phi_psi1.svg", "psi_1.csv"
         ]
+
+    def test_cascade_j12_plots(self, tmp_path):
+        bank_path = tmp_path / "bank.json"
+        bank_path.write_text(json.dumps(daubechies4().to_json()))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["cascade", str(bank_path), "--j", "12", "--iters", "20",
+                "-o", str(out / "phi.csv"), "--plot", str(out / "phi.svg"),
+                "--psi-prefix", str(out / "psi_")]
+        assert main(argv) == 0
+        phi = scaling_function(daubechies4(), 12, 20).phi
+        (psi,) = wavelet_from_scaling(daubechies4(), phi)
+        assert len(phi.data) > 2**13  # two frame blocks
+        assert (out / "phi.svg").read_bytes() == _reference_svg_bytes(phi.x(), phi.data.real)
+        want = _reference_svg_bytes(psi.x(), psi.data.real)
+        assert (out / "phi_psi1.svg").read_bytes() == want
 
     def test_pyramid_bands(self, tmp_path):
         rng = np.random.default_rng(21)
