@@ -27,7 +27,7 @@ import numpy as np
 
 from .defaults import CASCADE_TOL, ITERS, J_LEVEL, K_TERMS
 from .filterbank import FilterBank
-from .laurent import Block, LaurentPoly, frozen_vector
+from .laurent import Block, LaurentPoly, decimate, frozen_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,26 +110,24 @@ def grid_inner(a: GridFunction, b: GridFunction) -> complex:
 
 
 def _band_step(coeffs: LaurentPoly, scale_n: int, g: GridFunction) -> GridFunction:
-    """sqrt(N) * sum_n c_n g(N x - n) on the fixed grid of g."""
+    """sqrt(N) * sum_n c_n g(N x - n) on the fixed grid of g: the term of c_n
+    is g moved n integer shifts up, then decimated by N."""
     if coeffs.is_zero or g.is_trivial():
         return GridFunction.from_values(g.j_level, 0, [0.0])
     unit = 1 << g.j_level  # grid steps per integer shift
-    n_lo, n_hi = coeffs.min_deg, coeffs.max_deg
-    out_lo = math.ceil((g.support_lo + n_lo * unit) / scale_n)
-    out_hi = math.floor((g.support_hi + n_hi * unit) / scale_n)
-    if out_lo > out_hi:
+    taps = [
+        Block(*decimate(g.offset + n * unit, g.data, scale_n))
+        for n in range(coeffs.offset, coeffs.end)
+    ]
+    lo, hi = taps[0].offset, taps[-1].end
+    if lo >= hi:
         return GridFunction.from_values(g.j_level, 0, [0.0])
-    out = np.zeros(out_hi - out_lo + 1, dtype=complex)
-    vals = g.value_array()
+    out = np.zeros(hi - lo, dtype=complex)
     root = math.sqrt(scale_n)
-    for n, c in enumerate(coeffs.coeffs, n_lo):
-        # out[k] reads vals[start + N*k]; keep the k whose index lands in vals
-        start = scale_n * out_lo - n * unit - g.support_lo
-        k0 = max(0, -(start // scale_n))
-        k1 = min(len(out), (len(vals) - 1 - start) // scale_n + 1)
-        if c != 0 and k0 < k1:
-            out[k0:k1] += root * c * vals[start + scale_n * k0 :: scale_n][: k1 - k0]
-    return GridFunction.from_values(g.j_level, out_lo, out)
+    for c, tap in zip(coeffs.coeffs, taps):
+        if c != 0:  # placed, not windowed: a window per tap spans all of out
+            out[tap.offset - lo : tap.end - lo] += root * c * tap.data
+    return GridFunction.from_values(g.j_level, lo, out)
 
 
 def cascade_step(bank: FilterBank, g: GridFunction) -> GridFunction:

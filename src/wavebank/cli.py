@@ -27,6 +27,7 @@ from .design import (
     lifting_recompose,
     LiftingStep,
     six_tap_from_angles,
+    unitary_from_projections,
 )
 from .fileio import (
     InputFormatError,
@@ -40,6 +41,7 @@ from .fileio import (
 from .filterbank import (
     FilterBank,
     check_qmf,
+    filters_from_polyphase,
     polyphase_from_filters,
 )
 from .laurent import (
@@ -120,22 +122,23 @@ def _cmd_verify(args) -> int:
     failures = 0
     if args.random_banks:
         rng = np.random.default_rng(args.seed)
-        banks = []
+        banks = []  # (name, bank, its polyphase matrix A)
         for _ in range(args.random_banks):
             k = int(rng.integers(0, 9))
             params = [
                 ProjectionParam(float(rng.uniform()), float(rng.uniform(0, 2 * math.pi)))
                 for _ in range(k)
             ]
-            banks.append((f"random(k={k})", bank_from_projections(params)))
+            A = unitary_from_projections(params)
+            banks.append((f"random(k={k})", filters_from_polyphase(A), A))
     else:
         if not args.bank:
             print("verify: provide a bank file or --random-banks", file=sys.stderr)
             return USAGE_ERROR
-        banks = [(str(args.bank), _load_bank(args.bank))]
-    for name, bank in banks:
+        bank = _load_bank(args.bank)
+        banks = [(str(args.bank), bank, polyphase_from_filters(bank))]
+    for name, bank, A in banks:
         qmf = check_qmf(bank, args.grid)
-        A = polyphase_from_filters(bank)
         unit = is_unitary_on_torus(A, args.grid)
         try:
             winding_txt = str(k1_class(A, args.grid))

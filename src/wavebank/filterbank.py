@@ -27,10 +27,12 @@ import numpy as np
 from .laurent import (
     DEFAULT_GRID,
     DEFAULT_TOL,
+    Block,
     LaurentPoly,
     MatLaurentPoly,
     SingularOnTorusError,
     _vanishing_floor,
+    decimate,
     interpolate_torus,
     sample_torus,
 )
@@ -169,14 +171,11 @@ def check_qmf(
 
 
 def polyphase_from_filters(bank: FilterBank) -> MatLaurentPoly:
-    """Exact index rearrangement A[i, j]_k = m_i[N*k + j]: the filters, zero
-    padded into one (N, L*N) block from degree N*min_deg(A), read as (L, N, N)."""
+    """Exact index rearrangement A[i, j]_k = m_i[N*k + j]: the filters'
+    windows from degree N*min_deg(A), one (N, L*N) block read as (L, N, N)."""
     n = bank.scale_n
     lo, span = _polyphase_span(bank)
-    block = np.zeros((n, (span + 1) * n), dtype=complex)
-    for row, f in zip(block, bank.filters):
-        start = f.min_deg - n * lo
-        row[start : start + len(f.data)] = f.data
+    block = np.array([f.window(n * lo, n * (lo + span + 1)) for f in bank.filters])
     return MatLaurentPoly.from_coeffs(lo, block.reshape(n, span + 1, n).transpose(1, 0, 2))
 
 
@@ -247,8 +246,7 @@ def biorthogonality_residual(pair: BiorthPair, grid_size: int = DEFAULT_GRID) ->
     for col, (i, j) in enumerate(zip(rows, cols)):
         f, g = pair.primal.filters[i], pair.dual.filters[j]
         if not (f.is_zero or g.is_zero):  # np.convolve refuses empty taps
-            first = g.min_deg - f.max_deg  # the degree of the correlation's first term
-            corr = np.convolve(np.conj(f.data[::-1]), g.data)[-first % n :: n]
-            k = -(-first // n) - lo  # ceil(first / N): the degree of corr[0]
-            gram[k : k + len(corr), col] = corr
+            corr = np.convolve(np.conj(f.data[::-1]), g.data)  # from degree g.min - f.max
+            root_sum = Block(*decimate(g.min_deg - f.max_deg, corr, n))
+            gram[:, col] = root_sum.window(lo, lo + len(gram))
     return float(np.max(np.abs(sample_torus(lo, gram, grid_size) - (rows == cols))))

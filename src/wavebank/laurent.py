@@ -3,13 +3,15 @@
 `Block`, an integer offset plus one read-only complex ndarray, represents
 every finitely supported sequence in the package (these polynomials,
 `operators.Signal`, `cascade.GridFunction`) and owns their equality, hashing,
-index lookup, zero padding and termwise algebra (`+`, `-`, negation,
-`scale`); `_trim_ends` is their one end trim.  A polynomial's offset is its
-lowest exponent and its array has shape (span + 1,), or (span + 1, n, n) for
-`MatLaurentPoly`.  Arithmetic is exact coefficient arithmetic (complex
-doubles); `from_coeffs`, the one constructor, trims end terms of modulus
-below ``CANONICAL_EPS`` (a matrix term by its largest entry) so degree
-bookkeeping stays stable after round trips.
+index lookup, index maps and termwise algebra (`+`, `-`, negation, `scale`);
+`_trim_ends` is their one end trim.  The index maps are `Block.window` (the
+terms at lo..hi - 1, zero outside), `Block.upsampled` (index k to N k) and its
+adjoint `decimate` (index N k to k, other terms dropped).  A polynomial's
+offset is its lowest exponent and its array has shape (span + 1,), or
+(span + 1, n, n) for `MatLaurentPoly`.  Arithmetic is exact coefficient
+arithmetic (complex doubles); `from_coeffs`, the one constructor, trims end
+terms of modulus below ``CANONICAL_EPS`` (a matrix term by its largest entry)
+so degree bookkeeping stays stable after round trips.
 
 Every torus grid is sampled by one FFT (`sample_torus`).  Determinants and FIR
 inverses, Laurent polynomials of known span, are taken pointwise on a grid
@@ -97,6 +99,13 @@ def _trim_ends(offset: int, arr: np.ndarray, floor: float) -> tuple[int, np.ndar
     return offset + int(keep[0]), arr[keep[0] : keep[-1] + 1]
 
 
+def decimate(offset: int, arr: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """(ceil(offset / n), a view of the terms of arr at indices divisible by n),
+    term i of arr at index offset + i; index n * k becomes k."""
+    first = -(-offset // n)
+    return first, arr[n * first - offset :: n]
+
+
 def _checked(block, obj: dict):
     """block, read from the JSON obj, refused (ValueError) when a term holds a
     NaN or an infinity, which json reads from NaN, Infinity and 1e999, or when
@@ -175,20 +184,24 @@ class Block:
             names = ("matrix shape", *self._key)
             raise DimensionMismatchError(f"operands differ in {names}: {mine} vs {theirs}")
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """A new array of the terms at indices lo..hi - 1 (empty when hi <= lo),
+        zero outside the stored block.  The terms are added into zeros, not
+        copied, so -0.0 terms come out as 0.0."""
+        out = np.zeros((max(hi - lo, 0),) + self.data.shape[1:], dtype=complex)
+        first, last = max(lo, self.offset), min(hi, self.end)
+        if first < last:
+            out[first - lo : last - lo] += self.data[first - self.offset : last - self.offset]
+        return out
+
     def padded(self, other: "Block") -> tuple[int, np.ndarray, np.ndarray]:
-        """(lo, a, b): the data of self and other, two compatible blocks,
-        zero-padded onto their common support lo..max(end) - 1.  The padding
-        is added to, not overwritten, so -0.0 terms come out as 0.0 and a + b
-        rounds exactly like the terms summed into one zero array."""
+        """(lo, a, b): the `window`s of self and other, two compatible blocks,
+        on their common support lo..max(end) - 1, so a + b rounds exactly like
+        the terms summed into one zero array."""
         self._require_compatible(other)
         lo = min(self.offset, other.offset)
         hi = max(self.end, other.end)
-        out = []
-        for block in (self, other):
-            arr = np.zeros((hi - lo,) + block.data.shape[1:], dtype=complex)
-            arr[block.offset - lo : block.end - lo] += block.data
-            out.append(arr)
-        return lo, out[0], out[1]
+        return lo, self.window(lo, hi), other.window(lo, hi)
 
     def upsampled(self, n: int) -> tuple[int, np.ndarray]:
         """(n * offset, arr): the term at index k moved to index n * k, with

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .filterbank import FilterBank
-from .laurent import Block, LaurentPoly, _trim_ends, frozen_vector
+from .laurent import Block, LaurentPoly, _trim_ends, decimate, frozen_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +73,8 @@ class Signal(Block):
 def inner(c: Signal, d: Signal) -> complex:
     """<c, d> = sum conj(c_n) d_n (exactly rounded, so adjointness identities
     hold bit-for-bit regardless of zero padding)."""
-    lo = max(c.offset, d.offset)
-    hi = min(c.end, d.end)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    a = c.sample_array()[lo - c.offset : hi - c.offset]
-    b = d.sample_array()[lo - d.offset : hi - d.offset]
-    prod = np.conj(a) * b
+    lo, hi = max(c.offset, d.offset), min(c.end, d.end)
+    prod = np.conj(c.window(lo, hi)) * d.window(lo, hi)
     return complex(math.fsum(prod.real), math.fsum(prod.imag))
 
 
@@ -87,9 +82,7 @@ def downsample(c: Signal, n: int) -> Signal:
     """Keep samples at indices divisible by n, re-indexed by /n."""
     if n < 2:
         raise ValueError("sampling factor must be >= 2")
-    first = c.offset + (-c.offset) % n  # an empty slice makes the zero signal
-    kept = c.sample_array()[first - c.offset :: n]
-    return Signal.from_samples(first // n, kept)
+    return Signal.from_samples(*decimate(c.offset, c.sample_array(), n))
 
 
 def upsample(c: Signal, n: int) -> Signal:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .defaults import K_TERMS, N_MAX, PF_TOL
 from .filterbank import FilterBank, _polyphase_span, check_qmf
-from .laurent import DEFAULT_GRID, DEFAULT_TOL, LaurentPoly
+from .laurent import DEFAULT_GRID, DEFAULT_TOL, LaurentPoly, _vanishing_floor, decimate
 
 
 def weight_from_lowpass(m0: LaurentPoly) -> LaurentPoly:
@@ -112,11 +112,10 @@ def transfer_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
     """(R_W f)_n = sum_k c_{N n - k} f_k, exact in coefficients.
 
     Sampled on the torus this equals (1/N) sum_{w^N = z} W(w) f(w).  The
-    sum is coefficient N n of the product W f, read by one strided slice.
+    sum is coefficient N n of the product W f, read by `decimate`.
     """
-    p, n = spec.w * f, spec.scale_n
-    lo = -(-p.min_deg // n)  # least m with N m >= min_deg(W f)
-    return LaurentPoly.from_coeffs(lo, p.data[n * lo - p.min_deg :: n])
+    p = spec.w * f
+    return LaurentPoly.from_coeffs(*decimate(p.offset, p.data, spec.scale_n))
 
 
 def subdivision_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
@@ -129,13 +128,9 @@ def subdivision_apply(spec: TransferSpec, f: LaurentPoly) -> LaurentPoly:
 def transfer_matrix(spec: TransferSpec) -> np.ndarray:
     """Matrix of R_W on modes -band_m..band_m: entry (n, k) = c_{N n - k}."""
     modes = np.arange(-spec.band_m, spec.band_m + 1)
-    out = np.zeros((modes.size, modes.size), dtype=complex)
-    if spec.w.is_zero:
-        return out
-    pos = spec.scale_n * modes[:, None] - modes[None, :] - spec.w.min_deg
-    inside = (pos >= 0) & (pos < len(spec.w.data))
-    out[inside] = spec.w.data[pos[inside]]
-    return out
+    reach = (spec.scale_n + 1) * spec.band_m  # the largest |N n - k|
+    c = spec.w.window(-reach, reach + 1)
+    return c[spec.scale_n * modes[:, None] - modes[None, :] + reach]
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def _weight_series(bank: FilterBank) -> tuple:
     if w.is_zero:
         return np.zeros(1), None
     d = max(w.max_deg, -w.min_deg)
-    half = np.array([w.coeff(j) for j in range(d + 1)]) / bank.scale_n
+    half = w.window(0, d + 1) / bank.scale_n
     cos_c = 2 * half.real
     cos_c[0] = half[0].real
     sin_c = 2 * half.imag[1:]
@@ -421,8 +416,6 @@ _GAP_TOL = 1e-6
 # come out of np.roots with errors near 1e-8.  Candidates only propose
 # cycles; the check of W = N at the snapped points decides.
 _ROOT_TOL = 1e-5
-# A snapped cycle point must have |W - N| <= _CYCLE_TOL * sum_k |w_k|.
-_CYCLE_TOL = 1e-9
 # The constraint rows must have singular values >= _RANK_TOL times the
 # largest, and the solution must meet them to _RANK_TOL.
 _RANK_TOL = 1e-8
@@ -469,14 +462,14 @@ def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
     The candidates are the roots of z**D (N - W(z)) near the unit circle,
     z = exp(-i t).  Following the map from candidate to nearest candidate
     gives the cycles; a p-cycle is then snapped to the exact points
-    2 pi j / (N**p - 1) and kept only if W = N there to _CYCLE_TOL.  The
-    integer j is read from the itinerary: t_0 / 2 pi = j / (N**p - 1) has
+    2 pi j / (N**p - 1) and kept only if |W - N| <= _vanishing_floor(W)
+    there.  j is read from the itinerary: t_0 / 2 pi = j / (N**p - 1) has
     the repeating base-N digits floor(N t_i / 2 pi), i = 0..p-1, so cycles
     of any length snap exactly; a cycle with a digit in doubt is skipped.
     Returns a list of arrays of cycle angles.
     """
     d = max(-w.min_deg, w.max_deg)
-    poly = -np.array([w.coeff(k) for k in range(-d, d + 1)])
+    poly = -w.window(-d, d + 1)
     poly[d] += scale_n
     roots = np.roots(poly[::-1])
     roots = roots[np.abs(np.abs(roots) - 1.0) <= _ROOT_TOL]
@@ -496,7 +489,6 @@ def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
         gap = circular(zeros, scale_n * t)
         if np.min(gap) <= scale_n * _ROOT_TOL:
             successor[i] = int(np.argmin(gap))
-    mass = float(np.sum(np.abs(w.coeff_array())))
     cycles = []
     for start in successor:
         orbit = [start]
@@ -514,7 +506,7 @@ def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
         period = scale_n ** len(orbit) - 1
         snapped = np.array([float(j * scale_n**i % period) for i in range(len(orbit))])
         snapped = 2 * np.pi * snapped / period
-        if np.all(np.abs(w.eval_angle(snapped) - scale_n) <= _CYCLE_TOL * mass):
+        if np.all(np.abs(w.eval_angle(snapped) - scale_n) <= _vanishing_floor(w)):
             cycles.append(snapped)
     return cycles
 
@@ -543,7 +535,8 @@ def per_exact(bank: FilterBank) -> Optional[ExactPer]:
     spec = TransferSpec.for_bank(bank)
     m = spec.band_m
     unit = spec.w.scale(n / spec.w.eval(1.0).real)
-    qmf_residual = max(abs(unit.coeff(n * k) - (k == 0)) for k in range(-m, m + 1))
+    w_nk = unit.window(-n * m, n * m + 1)[::n]  # w_{N k}, k = -m..m
+    qmf_residual = np.max(np.abs(w_nk - (np.arange(-m, m + 1) == 0)))
     cycles = _cohen_cycles(spec.w, n)
     basis = _fixed_space(spec)
     dim = 0 if basis is None else basis.shape[1]  # 0: no clear singular-value gap

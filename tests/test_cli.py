@@ -102,6 +102,10 @@ class TestDesignVerify:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
+    def test_verify_needs_a_bank_or_random_banks(self, capsys):
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().err == "verify: provide a bank file or --random-banks\n"
+
 
     def test_verify_aliasing_bank_is_usage_error(self, tmp_path, capsys):
         m0 = LaurentPoly.from_coeffs(0, [0.5] + [0.0] * 2047 + [0.5])
@@ -392,6 +396,17 @@ class TestLiftCommand:
         )
         assert resid <= 1e-9
 
+    def test_zero_top_left_entry_is_swapped_in_first(self, tmp_path, capsys):
+        # a = 0 takes the factorization's lower step by -1 before any reduction
+        A = MatLaurentPoly.from_constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        mat_path, steps_path = tmp_path / "mat.json", tmp_path / "steps.json"
+        mat_path.write_text(json.dumps(A.to_json()))
+        assert main(["lift", str(mat_path), "-o", str(steps_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 4 steps to {steps_path} (recomposition residual 0.000e+00)\n"
+        )
+        assert len(json.loads(steps_path.read_text())["steps"]) == 4
+
     def test_bad_determinant_is_usage_error(self, tmp_path):
         A = MatLaurentPoly.from_constant(np.diag([2.0, 1.0]))
         path = tmp_path / "mat.json"
@@ -553,6 +568,14 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {sig}: ") and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pyramid", "packets"])
+    def test_missing_signal_file_exits_2(self, tmp_path, d4_file, capsys, command):
+        sig, out = tmp_path / "nope.csv", tmp_path / "out"
+        argv = [command, str(d4_file), "--signal", str(sig), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {sig}: No such file or directory\n"
         assert not out.exists()
 
 

@@ -541,6 +541,18 @@ class TestReadGridCsv:
         with pytest.raises(InputFormatError, match=rf"g\.csv:{line}: x = "):
             read_grid_csv(path, j_level=2)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file or directory"), ("x,value_re,value_im\n", "no samples")],
+        ids=["missing", "header-only"],
+    )
+    def test_missing_or_empty_file_is_input_error(self, tmp_path, text, message):
+        path = tmp_path / "g.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputFormatError, match=rf"g\.csv: {message}$"):
+            read_grid_csv(path, j_level=2)
+
     def test_blank_rows_are_skipped(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("x,value_re,value_im\n-0.25,1.0,0.0\n\n0.0,2.0,1.0\n")
