@@ -122,7 +122,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     if args.random_banks:
         rng = np.random.default_rng(args.seed)
-        banks = []  # (name, bank, its polyphase matrix A)
+        banks = []  # (name, bank, its designed polyphase matrix A, or None)
         for _ in range(args.random_banks):
             k = int(rng.integers(0, 9))
             params = [
@@ -135,10 +135,11 @@ def _cmd_verify(args) -> int:
         if not args.bank:
             print("verify: provide a bank file or --random-banks", file=sys.stderr)
             return USAGE_ERROR
-        bank = _load_bank(args.bank)
-        banks = [(str(args.bank), bank, polyphase_from_filters(bank))]
+        banks = [(str(args.bank), _load_bank(args.bank), None)]
     for name, bank, A in banks:
-        qmf = check_qmf(bank, args.grid)
+        qmf = check_qmf(bank, args.grid)  # refuses a span wider than the grid
+        if A is None:
+            A = polyphase_from_filters(bank)
         unit = is_unitary_on_torus(A, args.grid)
         try:
             winding_txt = str(k1_class(A, args.grid))

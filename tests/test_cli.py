@@ -550,6 +550,14 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == 0
         assert f"winding class {shift + 1}" in capsys.readouterr().out
 
+    def test_verify_refuses_a_wide_gap_before_allocating_its_span(self, tmp_path, capsys):
+        # m0 at degree 0 and m1 at 10**12: the polyphase span alone would be 16 TB
+        path = tmp_path / "input.json"
+        path.write_text(_d4_json_with(lambda obj: obj["filters"][1].__setitem__("min_deg", 10**12)))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "required" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("angles", [["nan", "0"], ["0", "inf"]])
     def test_non_finite_six_tap_angle_exits_2(self, tmp_path, capsys, angles):
         out = tmp_path / "six.json"
