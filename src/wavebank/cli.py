@@ -160,6 +160,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cascade(args) -> int:
     _require_range("--j", args.j, 0, defaults.MAX_J)
+    _require_range("--iters", args.iters, 1, defaults.MAX_ITERS)
     bank = _load_bank(args.bank)
     result = scaling_function(bank, args.j, args.iters)
     stem = Path(args.plot or ".")
@@ -177,10 +178,9 @@ def _cmd_cascade(args) -> int:
     status = "converged" if result.converged else (
         "diverged" if result.diverged else "not converged"
     )
-    last = result.diffs[-1] if result.diffs else float("nan")
     print(
         f"cascade {status} after {result.iterations} iterations "
-        f"(last squared L2 diff {last:.3e}); wrote {args.output}"
+        f"(last squared L2 diff {result.diffs[-1]:.3e}); wrote {args.output}"
     )
     return OK if result.converged else VERIFY_FAILED
 
@@ -239,6 +239,8 @@ def _write_and_reconstruct(args, files, what: str, signal, reconstruct) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    if args.n_max > defaults.MAX_N_MAX:  # below 1, per_check names its own bound
+        _require_range("--n-max", args.n_max, 1, defaults.MAX_N_MAX)
     bank = _load_bank(args.bank)
     # the weight W = |m0|^2 has degree span(m0); eig and SVD grow as its cube
     _require_range(

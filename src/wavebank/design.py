@@ -9,7 +9,8 @@ Three construction routes are implemented:
   sqrt(N) convention a_n = h_n/sqrt2);
 * the two-angle six-tap family, available both as a closed form for the
   masking coefficients and as the matrix product V * U_theta(z) * U_rho(z)
-  (the two routes agree coefficient-wise and are cross-checked in tests).
+  (the two routes agree coefficient-wise and are cross-checked in tests);
+  the closed form is inverted by one least-squares solve.
 
 The lifting machinery factors any 2 x 2 matrix Laurent polynomial with
 det == 1 into a constant diag(K, 1/K) followed by alternating lower/upper
@@ -133,9 +134,21 @@ def rotation_projection(angle: float) -> np.ndarray:
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
+# The six-tap masking coefficients are this map times e = (1, cos 2theta + cos 2rho,
+# sin 2theta + sin 2rho, cos 2(theta - rho), sin 2(theta - rho)), read both ways.
+_SIX_TAP_MAP = np.array([[1, -1, -1, 1, 1],
+                         [1, 1, -1, 1, -1],
+                         [2, 0, 0, -2, -2],
+                         [2, 0, 0, -2, 2],
+                         [1, 1, 1, 1, 1],
+                         [1, -1, 1, 1, -1]]) / (4 * math.sqrt(2.0))
+
+
 def six_tap_coefficients(theta: float, rho: float) -> np.ndarray:
     """Closed form for the six masking coefficients of the two-angle family."""
-    return _six_tap_coeff_grid(np.array([theta]), np.array([rho]))[0, 0]
+    t, r, d = 2 * theta, 2 * rho, 2 * theta - 2 * rho
+    e = [1.0, math.cos(t) + math.cos(r), math.sin(t) + math.sin(r), math.cos(d), math.sin(d)]
+    return _SIX_TAP_MAP @ e
 
 
 def six_tap_polyphase(theta: float, rho: float) -> MatLaurentPoly:
@@ -148,59 +161,26 @@ def six_tap_from_angles(theta: float, rho: float) -> FilterBank:
     return filters_from_polyphase(six_tap_polyphase(theta, rho))
 
 
-def _six_tap_coeff_grid(thetas: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """The six-tap closed form over a meshgrid; shape (len(thetas), len(rhos), 6)."""
-    r = math.sqrt(2.0)
-    th = thetas[:, None]
-    rh = rhos[None, :]
-    e0 = np.full(np.broadcast_shapes(th.shape, rh.shape), 1 / r)
-    e1 = (np.cos(2 * th) + np.cos(2 * rh)) / r
-    e2 = (np.sin(2 * th) + np.sin(2 * rh)) / r
-    e3 = np.cos(2 * th - 2 * rh) / r
-    e4 = np.sin(2 * th - 2 * rh) / r
-    return np.stack(
-        [
-            (e0 - e1 - e2 + e3 + e4) / 4,
-            (e0 + e1 - e2 + e3 - e4) / 4,
-            (e0 - e3 - e4) / 2,
-            (e0 - e3 + e4) / 2,
-            (e0 + e1 + e2 + e3 + e4) / 4,
-            (e0 - e1 + e2 + e3 - e4) / 4,
-        ],
-        axis=-1,
-    )
-
-
 def find_angles_for_bank(target: FilterBank) -> tuple[float, float, float]:
-    """Grid-search the two-angle family for the closest match to target's low-pass.
+    """(theta, rho, distance) of the two-angle family member matching target's low-pass.
 
-    Scans a 360 x 360 lattice over [0, 2*pi)^2, then refines once by a
-    factor 10 around the best cell.  Returns (theta, rho, distance)
-    where distance is the max abs coefficient difference on taps 0..5.
+    Solves _SIX_TAP_MAP @ e = taps 0..5 for e by least squares; then
+    e3 + i*e4 = exp(2i(theta - rho)) and e1 + i*e2 = 2cos(theta - rho) *
+    exp(i(theta + rho)) give both angles, in [0, pi) (the family's period in
+    each).  distance is the max abs coefficient difference on taps 0..5 at
+    those angles: rounding for a member.  For a target outside the family the
+    angles are this closed-form projection, not a minimizer of distance.
     """
-    grid, refine = 360, 10
-    want = np.zeros(6)
-    arr = target.lowpass.coeff_array()
-    if target.lowpass.min_deg != 0 or len(arr) > 6 or np.max(np.abs(arr.imag)) > 0:
+    m0 = target.lowpass
+    if m0.min_deg < 0 or m0.end > 6 or np.any(m0.data.imag):
         raise ValueError("target low-pass must be real with support inside 0..5")
-    want[: len(arr)] = arr.real
-
-    def search(thetas: np.ndarray, rhos: np.ndarray) -> tuple[float, float, float]:
-        dists = np.max(np.abs(_six_tap_coeff_grid(thetas, rhos) - want), axis=-1)
-        i, j = np.unravel_index(np.argmin(dists), dists.shape)
-        return float(dists[i, j]), float(thetas[i]), float(rhos[j])
-
-    step = 2 * math.pi / grid
-    coarse = np.arange(grid) * step
-    d, th0, rh0 = search(coarse, coarse)
-    fine = step / refine
-    offsets = np.arange(-refine, refine + 1) * fine
-    d2, th, rh = search(th0 + offsets, rh0 + offsets)
-    if d2 < d:
-        d, best_th, best_rh = d2, th, rh
-    else:
-        best_th, best_rh = th0, rh0
-    return best_th % (2 * math.pi), best_rh % (2 * math.pi), d
+    want = m0.window(0, 6).real
+    e = np.linalg.lstsq(_SIX_TAP_MAP, want, rcond=None)[0]
+    half = math.atan2(e[4], e[3]) / 2  # theta - rho, where its cos is >= 0
+    total = math.atan2(e[2], e[1])
+    # the second % maps a rounded-up pi to 0
+    theta, rho = ((a / 2) % math.pi % math.pi for a in (total + half, total - half))
+    return theta, rho, float(np.max(np.abs(six_tap_coefficients(theta, rho) - want)))
 
 
 # ---------------------------------------------------------------------------

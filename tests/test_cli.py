@@ -327,6 +327,28 @@ class TestOptionBounds:
         assert f"error: {option} must be in" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["cascade", "nope.json", "--iters", "0", "-o", "phi.csv"], "--iters"),
+            (["cascade", "nope.json", "--iters", "1001", "-o", "phi.csv"], "--iters"),
+            (["cascade", "nope.json", "--iters", "1000000000", "-o", "phi.csv"],
+             "--iters"),
+            (["transfer", "nope.json", "--per", "--n-max", "1000001", "-o", "t.json"],
+             "--n-max"),
+            (["transfer", "nope.json", "--n-max", str(10**18), "-o", "t.json"],
+             "--n-max"),
+        ],
+    )
+    def test_iteration_counts_rejected_before_reading(
+        self, tmp_path, monkeypatch, capsys, argv, option
+    ):
+        # an unbounded --iters or --n-max sets how long the command runs
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert f"error: {option} must be in 1.." in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_packet_leaves_bounded_for_more_bands(self, tmp_path, signal_file, capsys):
         # depth 8 is admitted for two bands (256 leaves) but makes 3**8 = 6561
         bank = tmp_path / "n3.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import haar, random_lifting_steps, random_sl2_product
 from wavebank.design import (
@@ -21,7 +23,12 @@ from wavebank.design import (
     six_tap_polyphase,
     unitary_from_projections,
 )
-from wavebank.filterbank import check_qmf, filters_from_polyphase, polyphase_from_filters
+from wavebank.filterbank import (
+    FilterBank,
+    check_qmf,
+    filters_from_polyphase,
+    polyphase_from_filters,
+)
 from wavebank.laurent import (
     LaurentPoly,
     MatLaurentPoly,
@@ -139,6 +146,8 @@ class TestDaubechies4:
     def test_quadrature(self):
         assert check_qmf(daubechies4()).passed
 
+ANGLES = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
 
 class TestSixTap:
     def test_zero_angles(self):
@@ -181,6 +190,36 @@ class TestSixTap:
         want = np.zeros(6)
         want[:4] = daubechies4().coefficients(0).real
         assert np.max(np.abs(recovered - want)) <= 1e-3
+
+    def test_four_tap_angles_are_exact(self):
+        theta, rho, dist = find_angles_for_bank(daubechies4())
+        assert abs(theta - 3 * math.pi / 4) <= 1e-15
+        assert abs(rho - 5 * math.pi / 6) <= 1e-15
+        assert dist <= 1e-15
+
+    def test_member_without_tap_zero_is_accepted(self):
+        # theta = rho = 0 gives (z + z**4)/sqrt2, whose support starts at 1
+        theta, rho, dist = find_angles_for_bank(six_tap_from_angles(0.0, 0.0))
+        assert (theta, rho) == (0.0, 0.0) and dist <= 1e-15
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(theta=ANGLES, rho=ANGLES)
+    def test_angles_recovered_from_members(self, theta, rho):
+        found_theta, found_rho, dist = find_angles_for_bank(six_tap_from_angles(theta, rho))
+        assert 0.0 <= found_theta < math.pi and 0.0 <= found_rho < math.pi
+        assert dist <= 1e-12
+        if abs(math.cos(theta - rho)) >= 1e-3:  # elsewhere theta + rho is free
+            for found, want in ((found_theta, theta), (found_rho, rho)):
+                gap = (found - want) % math.pi
+                assert min(gap, math.pi - gap) <= 1e-10
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(taps=st.lists(st.floats(-1, 1), min_size=6, max_size=6))
+    def test_distance_of_a_non_member_is_its_misfit(self, taps):
+        assume(abs(taps[0]) > 1e-3 and abs(taps[5]) > 1e-3)
+        target = FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, taps))
+        theta, rho, dist = find_angles_for_bank(target)
+        assert dist == np.max(np.abs(six_tap_coefficients(theta, rho) - taps))
 
 
 class TestLifting:
