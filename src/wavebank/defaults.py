@@ -23,7 +23,7 @@ MAX_BANKS            10**4    largest verify --random-banks
 MAX_SAMPLES          2**22    largest index spread (hi - lo + 1) of a signal CSV
 MAX_TRANSFER_DEGREE  128      largest degree D of W = |m0|^2 (the span of m0)
                               for transfer, whose eig and SVD cost O(D^3)
-MAX_N_MAX            10**6    largest transfer --n-max (the fallback sum costs
+MAX_N_MAX            10**5    largest transfer --n-max (the fallback sum costs
                               O(n_max))
 ===================  =======  ==================================================
 
@@ -49,4 +49,4 @@ MAX_GRID = 2**16
 MAX_BANKS = 10**4
 MAX_SAMPLES = 2**22
 MAX_TRANSFER_DEGREE = 128
-MAX_N_MAX = 10**6
+MAX_N_MAX = 10**5

@@ -2,19 +2,21 @@
 signals and grid functions (rows parsed by one `_csv_rows`), SVG polylines.
 
 The writers' bytes are fixed: CSV cells are the `repr` of their number, CSV
-lines end in CRLF and SVG points are "%.2f,%.2f".  Rows are written in
-blocks of at most 2**13, and a write that fails part way removes the file.
-
-The text comes from exact integer arithmetic in numpy:
-- signal files (index, re and im) and the grid value columns: the index
-  digits and `_repr_frame`, shortest round-trip digits by Schubfach on
-  uint64, with `repr` itself for NaN, infinities and subnormals.  Each
-  block is one byte matrix and a keep mask, compressed and written at once.
-  Blocks of fewer than _FRAME_ROWS rows, and indices of magnitude 10**18
-  and more, keep one `repr` per cell;
-- SVG points (`_fixed2_units`): blocks of _FRAME_ROWS points and more are byte
-  frames, unless they hold NaN, an infinity or |v| >= 2**40: "%.2f" per cell
-  then.  The grid x column (`_grid_x_cells`) says when it falls back to `repr`.
+lines end in CRLF and SVG points are "%.2f,%.2f".  `_write_rows` writes them
+in blocks of at most 2**13 rows, and a write that fails part way removes the
+file.  Signal and grid files share one layout, a first column (the index or
+the grid x) then re and im, written by `_write_complex_csv` on two paths:
+- the frame path, for blocks of _FRAME_ROWS rows and more: exact integer
+  arithmetic in numpy (the index digits, `_grid_x_cells` for x, and
+  `_repr_frame`, shortest round-trip digits by Schubfach on uint64, with
+  `repr` itself for NaN, infinities and subnormals) gives one byte matrix
+  and a keep mask, compressed and written at once;
+- the row path, for smaller blocks and for indices of magnitude 10**18 and
+  more: a `repr` per index and value, and the strs of `_grid_x_cells`.
+SVG points (`_fixed2_units`) take the same two paths, and a block holding
+NaN, an infinity or |v| >= 2**40 takes the row path, "%.2f" per cell.
+Signal files are read by numpy in bulk or by the row parser, and both parsers'
+rows become a signal in `_signal_from_rows`.
 """
 
 from __future__ import annotations
@@ -62,35 +64,15 @@ _BLOCK_ROWS = 1 << 13
 _FRAME_ROWS = 600
 
 
-def _write_rows(
-    path, head: str, n: int, columns, tail="", lead="", end="\r\n", frames=None
-) -> None:
-    """Write head, n rows and tail to path, _BLOCK_ROWS rows per write.
-
-    columns[c](rows) gives column c's cells for the slice `rows`.  A row is
-    lead (not before the first row), its cells joined by ",", then end.
-    frames(rows), where given, gives instead the bytes of each block of at
-    least _FRAME_ROWS rows (None: the row path).  A failure part way removes the file.
-    """
+def _write_rows(path, head: str, n: int, block, tail="") -> None:
+    """Write head, the bytes block(rows) of each slice `rows` of at most
+    _BLOCK_ROWS of the n rows, then tail.  A failure part way removes the file."""
     path = Path(path)
-    template = [lead] + [None, ","] * len(columns)
-    template[-1] = end
     with path.open("wb") as fh:
         try:
             fh.write(head.encode())
             for start in range(0, n, _BLOCK_ROWS):
-                rows = slice(start, min(start + _BLOCK_ROWS, n))
-                block = frames(rows) if frames and rows.stop - start >= _FRAME_ROWS else None
-                if block is not None:
-                    fh.write(block)
-                    del block  # held into the next block, it made 2**17-row files 8 % slower
-                    continue
-                parts = template * (rows.stop - start)
-                for c, column in enumerate(columns):
-                    parts[2 * c + 1 :: len(template)] = column(rows)
-                if not start:
-                    parts[0] = ""
-                fh.write("".join(parts).encode())
+                fh.write(block(slice(start, min(start + _BLOCK_ROWS, n))))
             fh.write(tail.encode())
         except BaseException:
             fh.close()
@@ -400,30 +382,38 @@ def _fixed2_cells(v: np.ndarray) -> list:
     return cells
 
 
+def _write_complex_csv(path, head: str, data: np.ndarray, first_cells, first_frame) -> None:
+    """Write head and a CRLF row per value of data: a first cell, then the repr
+    of the real and of the imaginary part.  A block of _FRAME_ROWS rows or more
+    is one byte frame, first column first_frame(rows), unless first_frame is
+    None; any other block takes the strs first_cells(rows) and a repr per value."""
+
+    def block(rows):
+        n = rows.stop - rows.start
+        if first_frame is not None and n >= _FRAME_ROWS:
+            return _join_frames([first_frame(rows), *_value_frames(data[rows])], b"\r\n")
+        parts = [None, ",", None, ",", None, "\r\n"] * n
+        parts[0::6] = first_cells(rows)
+        parts[2::6] = map(repr, data.real[rows].tolist())
+        parts[4::6] = map(repr, data.imag[rows].tolist())
+        return "".join(parts).encode()
+
+    _write_rows(path, head, len(data), block)
+
+
 def write_signal_csv(sig: Signal, path) -> None:
-    data = sig.data
-    offset = sig.offset
+    lo, hi = sig.offset, sig.offset + len(sig.data)
 
-    def frames(rows):
-        k = np.arange(offset + rows.start, offset + rows.stop, dtype=np.int64)
-        return _join_frames(
-            [_decimal_frame(np.abs(k), k < 0, 0),
-             *_value_frames(data[rows])],
-            b"\r\n",
-        )
+    def index_frame(rows):
+        k = np.arange(lo + rows.start, lo + rows.stop, dtype=np.int64)
+        return _decimal_frame(np.abs(k), k < 0, 0)
 
-    _write_rows(
-        path,
-        "index,re,im\r\n",
-        len(data),
-        [
-            lambda rows: list(map(repr, range(offset + rows.start, offset + rows.stop))),
-            lambda rows: list(map(repr, data.real[rows].tolist())),
-            lambda rows: list(map(repr, data.imag[rows].tolist())),
-        ],
-        # indices from 10**18 on take the row path
-        frames=frames if -(10**18) < offset and offset + len(data) <= 10**18 else None,
-    )
+    def index_cells(rows):
+        return map(repr, range(lo + rows.start, lo + rows.stop))
+
+    # indices from 10**18 on take the row path
+    frame = index_frame if -(10**18) < lo and hi <= 10**18 else None
+    _write_complex_csv(path, "index,re,im\r\n", sig.data, index_cells, frame)
 
 
 _SIGNAL_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
@@ -437,41 +427,40 @@ def read_signal_csv(path) -> Signal:
     numpy rejects (no header, 2- or 4-column rows, blank cells, malformed
     rows, indices beyond int64) goes through the row parser, which accepts
     the same files as numpy plus those and reports errors as `path:line`.
-    Both reject an index spread above `defaults.MAX_SAMPLES` before allocating.
+    Both parsers' rows become the signal in `_signal_from_rows`.
     """
     path = Path(path)
     try:
-        rows = _load_signal_rows(path)
-        if rows is None:
-            return _parse_signal_rows(path)
+        index, re, im = _load_signal_rows(path) or _parse_signal_rows(path)
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror}") from exc
-    if not len(rows):
+    return _signal_from_rows(path, index, re, im)
+
+
+def _signal_from_rows(path: Path, index: np.ndarray, re: np.ndarray, im: np.ndarray) -> Signal:
+    """The signal of the rows (index[i], re[i] + 1j * im[i]), index an int64
+    array or an object array of ints: the last row of a repeated index wins,
+    missing indices read as zero, and an index spread above
+    `defaults.MAX_SAMPLES` is rejected before the dense array is allocated."""
+    if not len(index):
         return Signal.zero()
-    index = rows["index"]
     order = np.argsort(index, kind="stable")
     ordered = index[order]
     last = order[np.append(ordered[1:] != ordered[:-1], True)]  # last row per index
     lo, hi = int(ordered[0]), int(ordered[-1])
-    _check_spread(path, lo, hi)
+    if hi - lo + 1 > defaults.MAX_SAMPLES:
+        raise InputFormatError(f"{path}: indices {lo}..{hi} span {hi - lo + 1} samples, "
+                               f"more than {defaults.MAX_SAMPLES}")
     dense = np.zeros(hi - lo + 1, dtype=complex)
-    slots = index[last] - lo
-    dense.real[slots] = rows["re"][last]
-    dense.imag[slots] = rows["im"][last]
+    slots = np.asarray(index[last] - lo, dtype=np.int64)
+    dense.real[slots] = re[last]
+    dense.imag[slots] = im[last]
     return Signal.from_samples(lo, dense)
 
 
-def _check_spread(path: Path, lo: int, hi: int) -> None:
-    if hi - lo + 1 > defaults.MAX_SAMPLES:
-        raise InputFormatError(
-            f"{path}: indices {lo}..{hi} span {hi - lo + 1} samples, "
-            f"more than {defaults.MAX_SAMPLES}"
-        )
-
-
 def _load_signal_rows(path: Path):
-    """The rows of a headed three-column signal file as a _SIGNAL_ROW array,
-    or None when np.loadtxt does not accept the file."""
+    """The (index, re, im) columns of a headed three-column signal file, or
+    None when np.loadtxt does not accept the file."""
     with path.open() as fh:
         if fh.readline().split(",", 1)[0].strip().lower() != "index":
             return None
@@ -479,12 +468,13 @@ def _load_signal_rows(path: Path):
         # a header-only file is an empty signal, not a numpy warning
         warnings.simplefilter("ignore", UserWarning)
         try:
-            return np.loadtxt(
+            rows = np.loadtxt(
                 path, dtype=_SIGNAL_ROW, delimiter=",", comments=None,
                 skiprows=1, ndmin=1,
             )
         except ValueError:
             return None
+    return rows["index"], rows["re"], rows["im"]
 
 
 def _csv_rows(path: Path, columns: str, key):
@@ -508,36 +498,23 @@ def _csv_rows(path: Path, columns: str, key):
             yield lineno, k, value
 
 
-def _parse_signal_rows(path: Path) -> Signal:
-    entries = {idx: value for _, idx, value in _csv_rows(path, "index,re,im", int)}
-    if not entries:
-        return Signal.zero()
-    lo = min(entries)
-    hi = max(entries)
-    _check_spread(path, lo, hi)
-    return Signal.from_samples(lo, [entries.get(i, 0.0) for i in range(lo, hi + 1)])
+def _parse_signal_rows(path: Path):
+    """The (index, re, im) columns of any signal file `_csv_rows` accepts,
+    the indices as Python ints, which may lie beyond int64."""
+    rows = list(_csv_rows(path, "index,re,im", int))
+    values = np.array([value for *_, value in rows], dtype=complex)
+    return np.array([k for _, k, _ in rows], dtype=object), values.real, values.imag
 
 
 def write_grid_csv(g: GridFunction, path) -> None:
     """One row per grid cell: its left endpoint and value."""
-    data = g.data
     lo, j = g.support_lo, g.j_level
 
     def x_cells(rows):
         return _grid_x_cells(np.arange(lo + rows.start, lo + rows.stop), j)
 
-    _write_rows(
-        path,
-        "x,value_re,value_im\r\n",
-        len(data),
-        [
-            x_cells,
-            lambda rows: list(map(repr, data.real[rows].tolist())),
-            lambda rows: list(map(repr, data.imag[rows].tolist())),
-        ],
-        frames=lambda rows: _join_frames(
-            [_str_frame(x_cells(rows)), *_value_frames(data[rows])], b"\r\n"
-        ),
+    _write_complex_csv(
+        path, "x,value_re,value_im\r\n", g.data, x_cells, lambda rows: _str_frame(x_cells(rows))
     )
 
 
@@ -583,13 +560,19 @@ def write_svg_polyline(
     px = pad + (xs - x0) * sx
     py = height - pad - (ys - y0) * sy
 
-    def frames(rows):
-        q, neg, exact = _fixed2_units(np.concatenate([px[rows], py[rows]]))
-        if exact.all():  # else None: the block takes the row path
-            text, keep = _decimal_frame(q, neg, 2, 2)
-            n = rows.stop - rows.start
-            block = _join_frames([(text[:n], keep[:n]), (text[n:], keep[n:])], b" ")
-            return b" " * bool(rows.start) + block[:-1]
+    def block(rows):  # a space before each point but the file's first
+        n, lead = rows.stop - rows.start, " " * bool(rows.start)
+        if n >= _FRAME_ROWS:  # checked first: a smaller block makes no _fixed2_units call
+            q, neg, exact = _fixed2_units(np.concatenate([px[rows], py[rows]]))
+            if exact.all():
+                text, keep = _decimal_frame(q, neg, 2, 2)
+                frame = _join_frames([(text[:n], keep[:n]), (text[n:], keep[n:])], b" ")
+                return lead.encode() + frame[:-1]
+        parts = [" ", None, ",", None] * n
+        parts[0] = lead
+        parts[1::4] = _fixed2_cells(px[rows])
+        parts[3::4] = _fixed2_cells(py[rows])
+        return "".join(parts).encode()
 
     _write_rows(
         path,
@@ -599,9 +582,6 @@ def write_svg_polyline(
         f'stroke="#cccccc"/>\n'
         '<polyline points="',
         len(px),
-        [lambda rows: _fixed2_cells(px[rows]), lambda rows: _fixed2_cells(py[rows])],
+        block,
         tail='" fill="none" stroke="#1f77b4" stroke-width="1"/>\n</svg>\n',
-        lead=" ",
-        end="",
-        frames=frames,
     )

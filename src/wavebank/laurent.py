@@ -518,7 +518,7 @@ def is_unitary_on_torus(
     if grid_size < required:
         raise ValueError(f"grid_size {grid_size} < required {required}")
     rows, cols = np.nonzero(np.tri(A.n, dtype=bool).T)
-    adj = np.conj(A.coeffs[::-1]).transpose(0, 2, 1)  # A*, from degree -max_deg(A)
+    adj = A.adjoint().coeffs  # A*, from degree -max_deg(A)
     prod = coeff_product(adj, A.coeffs, np.matmul)[:, rows, cols]
     prod[A.span] -= rows == cols  # degree 0 of A*A, whose lowest degree is -span(A)
     residual = float(np.max(np.abs(sample_torus(-A.span, prod, grid_size))))

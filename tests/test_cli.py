@@ -349,6 +349,18 @@ class TestOptionBounds:
         assert f"error: {option} must be in 1.." in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("per", [["--per"], []])
+    def test_n_max_above_ten_to_the_fifth_rejected_before_reading(
+        self, tmp_path, monkeypatch, capsys, per
+    ):
+        # the fallback sum costs O(n_max): 10**6 took most of a minute on a
+        # bank that fails the quadrature check
+        monkeypatch.chdir(tmp_path)
+        argv = ["transfer", "nope.json", *per, "--n-max", "100001", "-o", "t.json"]
+        assert main(argv) == 2
+        assert "error: --n-max must be in 1..100000, got 100001" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_packet_leaves_bounded_for_more_bands(self, tmp_path, signal_file, capsys):
         # depth 8 is admitted for two bands (256 leaves) but makes 3**8 = 6561
         bank = tmp_path / "n3.json"

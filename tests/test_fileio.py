@@ -169,6 +169,41 @@ class TestReadSignalCsv:
         with pytest.raises(InputFormatError, match="5 samples, more than 4"):
             _read_text(tmp_path, text.format(hi=4))
 
+    @settings(
+        derandomize=True, max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(1, 60),
+        lo=st.integers(-(10**6), 10**6),
+        seed=st.integers(0, 2**32 - 1),
+        crlf=st.booleans(),
+    )
+    def test_bulk_and_row_parsers_agree(self, tmp_path, n, lo, seed, crlf):
+        # unsorted rows with repeated and missing indices, under a header
+        # (numpy's bulk parser) and without one (the row parser)
+        rng = np.random.default_rng(seed)
+        index = (lo + rng.integers(0, 2 * n, size=n)).tolist()
+        values = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-30, 30, size=(n, 2))
+        values[rng.random((n, 2)) < 0.1] = -0.0
+        body = "".join(f"{k},{re!r},{im!r}\n" for k, (re, im) in zip(index, values.tolist()))
+        if crlf:
+            body = body.replace("\n", "\r\n")
+        headed, bare = tmp_path / "headed.csv", tmp_path / "bare.csv"
+        headed.write_text("index,re,im\n" + body, newline="")
+        bare.write_text(body, newline="")
+        assert fileio._load_signal_rows(headed) is not None  # the bulk parser reads it
+        a, b = read_signal_csv(headed), read_signal_csv(bare)
+        last = dict(zip(index, values.tolist()))  # the last row per index wins
+        first = min(last)
+        want = np.zeros(max(last) - first + 1, dtype=complex)
+        for k, (re, im) in last.items():
+            want.real[k - first], want.imag[k - first] = re, im
+        ref = Signal.from_samples(first, want)
+        for sig in (a, b):
+            assert sig.offset == ref.offset
+            assert sig.data.tobytes() == ref.data.tobytes()
+
 
 class TestWriteCsv:
     def test_signal_golden_bytes(self, tmp_path):
@@ -521,6 +556,44 @@ class TestExactText:
             write_svg_polyline(np.arange(n), np.ones(n), path)
         assert calls == [2 * 2**13, 2 * fileio._FRAME_ROWS]  # x and y of each block
         assert not path.exists()
+
+    # offsets near +-(10**18 - n), where the index digits leave the frame
+    # path, and beyond int64
+    @pytest.mark.parametrize("where", ["small", "top", "bottom", "beyond"])
+    @settings(
+        derandomize=True, max_examples=6, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        # 0..2 full blocks, then a block of either path: a frame block can be
+        # followed by a row block
+        blocks=st.integers(0, 2),
+        rest=st.one_of(st.integers(1, 2 * fileio._FRAME_ROWS), st.integers(1, 2**13)),
+        step=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signal_matches_row_writer(self, tmp_path, blocks, rest, where, step, seed):
+        rng = np.random.default_rng(seed)
+        n = blocks * 2**13 + rest
+        offset = {
+            "small": int(rng.integers(-(2**20), 2**20)),
+            "top": 10**18 - n,
+            "bottom": -(10**18 - n),
+            "beyond": 2**63,
+        }[where] + step
+        data = np.empty(n, dtype=complex)
+        data.real = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+        data.imag = rng.normal(size=n)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 0.0]
+        for part in (data.real, data.imag):
+            at = rng.integers(0, n, size=rng.integers(0, 8))
+            part[at] = rng.choice(special, size=len(at))
+        data[0] = data[-1] = 1.5 - 0.25j  # no end zeros to trim: the offset stays
+        sig = Signal.from_samples(offset, data)
+        assert sig.offset == offset and len(sig.data) == n
+        write_signal_csv(sig, tmp_path / "s.csv")
+        want = _reference_signal_bytes(sig, tmp_path / "r.csv")
+        assert (tmp_path / "s.csv").read_bytes() == want
 
 
 class TestReadGridCsv:

@@ -1,8 +1,10 @@
 """The paper's identities as derandomized properties, on banks with N = 2..4
 bands: the Cuntz relations of S_j c = m_j * upsample(c, N), the adjointness
-of analyze and synthesize, and the agreement of the two torus verdicts."""
+of analyze and synthesize, the agreement of the two torus verdicts, and the
+unitarity residual's A* from `MatLaurentPoly.adjoint`."""
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +18,14 @@ from wavebank.filterbank import (
     filters_from_polyphase,
     polyphase_from_filters,
 )
-from wavebank.laurent import LaurentPoly, is_unitary_on_torus
+from wavebank.defaults import GRID_SIZE
+from wavebank.laurent import (
+    LaurentPoly,
+    MatLaurentPoly,
+    coeff_product,
+    is_unitary_on_torus,
+    sample_torus,
+)
 from wavebank.operators import Signal, analyze, inner, synthesize
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -84,3 +93,31 @@ def test_quadrature_verdict_is_the_unitarity_verdict(bank, seed, size, corrupted
     verdict = check_qmf(bank).passed
     assert verdict == is_unitary_on_torus(polyphase_from_filters(bank)).passed
     assert verdict == (not corrupted)
+
+
+def _hand_built_adjoint_residual(A):
+    """is_unitary_on_torus's residual with A*'s coefficients built by hand:
+    the oracle for the check's A.adjoint()."""
+    rows, cols = np.nonzero(np.tri(A.n, dtype=bool).T)
+    adj = np.conj(A.coeffs[::-1]).transpose(0, 2, 1)  # A*, from degree -max_deg(A)
+    prod = coeff_product(adj, A.coeffs, np.matmul)[:, rows, cols]
+    prod[A.span] -= rows == cols
+    return float(np.max(np.abs(sample_torus(-A.span, prod, GRID_SIZE))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bank=banks(), seed=SEEDS, size=st.floats(1e-6, 1e-2), corrupted=st.booleans())
+def test_unitarity_residual_from_the_adjoint_matches_the_hand_built_one(
+    bank, seed, size, corrupted
+):
+    A = polyphase_from_filters(bank)
+    if corrupted:  # one polyphase entry moved by size
+        rng = np.random.default_rng(seed)
+        coeffs = A.coeffs.copy()
+        coeffs[tuple(int(rng.integers(m)) for m in coeffs.shape)] += size
+        A = MatLaurentPoly.from_coeffs(A.min_deg, coeffs)
+    adj = A.adjoint()
+    assert adj.min_deg == -A.max_deg
+    assert adj.coeffs.tobytes() == np.conj(A.coeffs[::-1]).transpose(0, 2, 1).tobytes()
+    got = is_unitary_on_torus(A).max_residual
+    assert struct.pack("<d", got) == struct.pack("<d", _hand_built_adjoint_residual(A))
