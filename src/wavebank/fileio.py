@@ -13,8 +13,8 @@ the grid x) then re and im, written by `_write_complex_csv` on two paths:
   and a keep mask, compressed and written at once;
 - the row path, for smaller blocks and for indices of magnitude 10**18 and
   more: a `repr` per index and value, and the strs of `_grid_x_cells`.
-SVG points (`_fixed2_units`) take the same two paths, and a block holding
-NaN, an infinity or |v| >= 2**40 takes the row path, "%.2f" per cell.
+SVG points (`_fixed2_units`) take the frame path at any block size, except a
+block holding NaN, an infinity or |v| >= 2**40: it takes "%.2f" per cell.
 Signal files are read by numpy in bulk or by the row parser, and both parsers'
 rows become a signal in `_signal_from_rows`.
 """
@@ -57,10 +57,10 @@ def dump_json(obj, path) -> None:
 
 
 _BLOCK_ROWS = 1 << 13
-# Blocks of signal and grid rows and of SVG points from this many on are byte
-# frames built in numpy.  Below it the frame path's fixed cost, some 200 numpy
-# calls, exceeds what it saves over a repr per cell: on files of random complex
-# values both paths took the same time at 512-640 rows (numpy 2.4, x86-64).
+# Blocks of signal and grid rows from this many on are byte frames built in
+# numpy.  Below it the frame path's fixed cost, some 200 numpy calls, exceeds
+# what it saves over a repr per cell: on files of random complex values both
+# paths took the same time at 512-640 rows (numpy 2.4, x86-64).
 _FRAME_ROWS = 600
 
 
@@ -562,12 +562,11 @@ def write_svg_polyline(
 
     def block(rows):  # a space before each point but the file's first
         n, lead = rows.stop - rows.start, " " * bool(rows.start)
-        if n >= _FRAME_ROWS:  # checked first: a smaller block makes no _fixed2_units call
-            q, neg, exact = _fixed2_units(np.concatenate([px[rows], py[rows]]))
-            if exact.all():
-                text, keep = _decimal_frame(q, neg, 2, 2)
-                frame = _join_frames([(text[:n], keep[:n]), (text[n:], keep[n:])], b" ")
-                return lead.encode() + frame[:-1]
+        q, neg, exact = _fixed2_units(np.concatenate([px[rows], py[rows]]))
+        if exact.all():
+            text, keep = _decimal_frame(q, neg, 2, 2)
+            frame = _join_frames([(text[:n], keep[:n]), (text[n:], keep[n:])], b" ")
+            return lead.encode() + frame[:-1]
         parts = [" ", None, ",", None] * n
         parts[0] = lead
         parts[1::4] = _fixed2_cells(px[rows])

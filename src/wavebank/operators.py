@@ -138,23 +138,26 @@ class PyramidDecomposition:
 def pyramid_decompose(
     c: Signal, bank: FilterBank, levels: int
 ) -> PyramidDecomposition:
-    """Recursively split the coarse band `levels` times."""
+    """Recursively split the coarse band `levels` times: the packet transform
+    on the wavelet partition, its leaves regrouped by level."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    details = []
-    current = c
-    for _ in range(levels):
-        bands = analyze(current, bank)
-        current = bands[0]
-        details.append(tuple(bands[1:]))
-    return PyramidDecomposition(current, tuple(details))
+    n = bank.scale_n
+    leaves = packet_decompose(c, bank, PacketPartition.wavelet(levels, n))
+    details = (tuple(leaves[(k, b)] for b in range(1, n)) for k in range(1, levels + 1))
+    return PyramidDecomposition(leaves[(levels, 0)], tuple(details))
 
 
 def pyramid_reconstruct(dec: PyramidDecomposition, bank: FilterBank) -> Signal:
-    current = dec.coarse
-    for level in reversed(dec.details):
-        current = synthesize([current, *level], bank)
-    return current
+    levels, n = len(dec.details), bank.scale_n
+    if any(len(level) != n - 1 for level in dec.details):
+        raise ValueError(f"expected {n - 1} detail bands at each level")
+    if not levels:
+        return dec.coarse
+    leaves = {(k, b): d for k, level in enumerate(dec.details, 1)
+              for b, d in enumerate(level, 1)}
+    leaves[(levels, 0)] = dec.coarse
+    return packet_reconstruct(leaves, bank, PacketPartition.wavelet(levels, n))
 
 
 class InvalidPartitionError(ValueError):
@@ -230,19 +233,18 @@ def packet_decompose(
     base-N digits of n, most-significant digit first: the children of node
     (k, n) are (k+1, n*N + band), so leaf index blocks stay contiguous."""
     n_bands = bank.scale_n
-    max_depth = partition.validate(n_bands)
+    partition.validate(n_bands)  # every path from the root then ends at a leaf
     out: Dict[Tuple[int, int], Signal] = {}
-
-    def walk(signal: Signal, depth: int, index: int) -> None:
+    # a stack, not a closure that calls itself: such a closure is a reference
+    # cycle, which kept every signal it reached until the next gc pass
+    nodes = [(0, 0, c)]
+    while nodes:
+        depth, index, signal = nodes.pop()
         if (depth, index) in partition.leaves:
             out[(depth, index)] = signal
-            return
-        if depth >= max_depth:
-            return
-        for band, piece in enumerate(analyze(signal, bank)):
-            walk(piece, depth + 1, index * n_bands + band)
-
-    walk(c, 0, 0)
+            continue
+        for band, piece in reversed(list(enumerate(analyze(signal, bank)))):
+            nodes.append((depth + 1, index * n_bands + band, piece))
     return out
 
 
@@ -251,20 +253,16 @@ def packet_reconstruct(
     bank: FilterBank,
     partition: PacketPartition,
 ) -> Signal:
+    """Synthesize the tree from its deepest level up; a missing leaf reads as 0."""
     n_bands = bank.scale_n
-    max_depth = partition.validate(n_bands)
-
-    def build(depth: int, index: int) -> Signal:
-        if (depth, index) in partition.leaves:
-            return leaf_map.get((depth, index), Signal.zero())
-        if depth >= max_depth:
-            return Signal.zero()
-        children = [
-            build(depth + 1, index * n_bands + band) for band in range(n_bands)
-        ]
-        return synthesize(children, bank)
-
-    return build(0, 0)
+    nodes: Dict[int, Signal] = {}  # the signals at one depth, by index
+    for depth in range(partition.validate(n_bands), 0, -1):
+        nodes.update((n, leaf_map.get((k, n), Signal.zero()))
+                     for k, n in partition.leaves if k == depth)
+        parents = {index // n_bands for index in nodes}
+        nodes = {p: synthesize([nodes[p * n_bands + b] for b in range(n_bands)], bank)
+                 for p in parents}
+    return nodes[0]
 
 
 def packet_energy(leaf_map: Mapping[Tuple[int, int], Signal]) -> float:

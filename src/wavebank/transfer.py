@@ -16,12 +16,12 @@ eigenvalue 1.
 
 PER is a trigonometric polynomial, PER(t) = sum_k a_k exp(-i k t), whose
 coefficients (the autocorrelation of the scaling function) lie in the
-invariant window and form a fixed vector of R_W.  For a QMF bank with
-|m_0(1)|^2 = N, `per_exact` decides by the cycles of t -> N t on which
-W = N (Cohen), with the fixed space of the window matrix as a cross-check:
-no cycle gives a = delta_0 (Lawton), cycles give the fixed vector with
-PER = 0 on every cycle point.  `per_check` uses that exact polynomial, and
-falls back to the truncated sum below when a precondition fails or the
+invariant window and form a fixed vector of R_W.  For |m_0(1)|^2 = N and
+R_W 1 = 1, `per_exact` decides by the cycles of t -> N t on which W = N,
+read off the zeros of m_0 (Cohen), checked by the fixed space of the window
+matrix: no cycle gives a = delta_0 (Lawton), cycles give the fixed vector
+with PER = 0 on every cycle point.  `per_check` uses that exact polynomial,
+and falls back to the truncated sum below when a precondition fails or the
 fixed space and the cycles disagree or cannot be certified.
 
 The fallback periodization is the truncated sum over |n| <= n_max of the K-term
@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .defaults import K_TERMS, N_MAX, PF_TOL
-from .filterbank import FilterBank, _polyphase_span, check_qmf
+from .filterbank import FilterBank
 from .laurent import DEFAULT_GRID, DEFAULT_TOL, LaurentPoly, _vanishing_floor, decimate
 
 
@@ -411,10 +411,11 @@ def per_samples(
 # the next one must exceed _GAP_TOL * |T - I|, or the dimension is unclear.
 _NULL_TOL = 1e-10
 _GAP_TOL = 1e-6
-# Roots of z**D (N - W) within _ROOT_TOL of the unit circle are candidate
-# zeros, and N t is matched to a candidate within N * _ROOT_TOL: double roots
-# come out of np.roots with errors near 1e-8.  Candidates only propose
-# cycles; the check of W = N at the snapped points decides.
+# Zeros of m_0 within _ROOT_TOL of the unit circle are candidates, and N t is
+# matched to one within N * _ROOT_TOL.  The zeros are simple except repeated
+# ones, such as the order-p zero of a Daubechies low-pass at z = -1, which
+# np.roots spreads by about eps**(1/p); that is why the tolerance stays.
+# Candidates only propose cycles; the check of W = N at snapped points decides.
 _ROOT_TOL = 1e-5
 # The constraint rows must have singular values >= _RANK_TOL times the
 # largest, and the solution must meet them to _RANK_TOL.
@@ -456,29 +457,26 @@ def _fixed_space(spec: TransferSpec) -> Optional[np.ndarray]:
     return vh[-dim:].conj().T
 
 
-def _cohen_cycles(w: LaurentPoly, scale_n: int) -> list:
-    """Nontrivial cycles of t -> N t (mod 2 pi) on which W(t) = N.
+def _cohen_cycles(m0: LaurentPoly, scale_n: int) -> list:
+    """Nontrivial cycles of t -> N t (mod 2 pi) on which W = |m_0|^2 is N.
 
-    The candidates are the roots of z**D (N - W(z)) near the unit circle,
-    z = exp(-i t).  Following the map from candidate to nearest candidate
-    gives the cycles; a p-cycle is then snapped to the exact points
+    Given R_W 1 = 1, W(t) = N forces m_0(t + 2 pi / N) = 0: the candidates
+    are the zeros of m_0 near the unit circle, z = exp(-i t), turned by
+    -2 pi / N.  Following the map from candidate to nearest candidate gives
+    the cycles; a p-cycle is then snapped to the exact points
     2 pi j / (N**p - 1) and kept only if |W - N| <= _vanishing_floor(W)
     there.  j is read from the itinerary: t_0 / 2 pi = j / (N**p - 1) has
     the repeating base-N digits floor(N t_i / 2 pi), i = 0..p-1, so cycles
     of any length snap exactly; a cycle with a digit in doubt is skipped.
     Returns a list of arrays of cycle angles.
     """
-    d = max(-w.min_deg, w.max_deg)
-    poly = -w.window(-d, d + 1)
-    poly[d] += scale_n
-    roots = np.roots(poly[::-1])
+    w = weight_from_lowpass(m0)
+    roots = np.roots(m0.coeff_array()[::-1])
     roots = roots[np.abs(np.abs(roots) - 1.0) <= _ROOT_TOL]
-    zeros = np.mod(-np.angle(roots), 2 * np.pi)
-    # drop the trivial cycle {0}; each double root is kept once
-    zeros = [t for t in np.sort(zeros) if min(t, 2 * np.pi - t) > _ROOT_TOL]
-    zeros = np.array(
-        [t for i, t in enumerate(zeros) if i == 0 or t - zeros[i - 1] > _ROOT_TOL]
-    )
+    zeros = np.mod(-np.angle(roots) - 2 * np.pi / scale_n, 2 * np.pi)
+    # drop the trivial cycle {0}; each repeated zero is kept once
+    zeros = np.sort(zeros[np.minimum(zeros, 2 * np.pi - zeros) > _ROOT_TOL])
+    zeros = zeros[np.diff(zeros, prepend=-np.inf) > _ROOT_TOL]
 
     def circular(a, b):
         gap = np.abs(np.mod(a - b, 2 * np.pi))
@@ -515,29 +513,30 @@ def per_exact(bank: FilterBank) -> Optional[ExactPer]:
     """The periodization of |phihat|^2 as an exact trigonometric polynomial.
 
     Its coefficients are the autocorrelation a_k of the scaling function,
-    supported on the invariant window, and a = R_W a.  For a QMF bank with
-    |m_0(1)|**2 = N, Cohen's cycle test decides, the SVD fixed space checks:
+    supported on the invariant window, and a = R_W a.  For |m_0(1)|**2 = N
+    and R_W 1 = 1, Cohen's cycle test decides, the SVD fixed space checks:
       * no nontrivial cycle of t -> N t on which W = N: a = delta_0, PER = 1
         (Cohen 1990, Lawton 1991), even if the fixed space has no clear gap;
       * cycles: PER vanishes on them and they bring the extra fixed vectors
         of R_W.  a is the fixed vector with sum_k a_k = PER(0) = 1 and
         PER = 0 on every cycle point; the constraint rows must determine it.
-    Returns None when check_qmf fails, when |m_0(1)|**2 is off N by more than
-    TOL * N, when the fixed space contradicts the cycles (dimension > 1 with
-    none, <= 1 or no clear gap with some) or the constraints do not fix a.
+    Only m_0 is read.  Returns None when |m_0(1)|**2 is off N by more than
+    TOL * N, when sum_k |w_{N k} - delta_k| > TOL for W scaled to W(1) = N,
+    when the fixed space contradicts the cycles (dimension > 1 with none,
+    <= 1 or no clear gap with some) or the constraints do not fix a.
     """
     n = bank.scale_n
-    grid = max(DEFAULT_GRID, 2 * _polyphase_span(bank)[1] + 1)
-    if not check_qmf(bank, grid).passed:
-        return None
     if abs(abs(bank.lowpass.eval(1.0)) ** 2 - n) > DEFAULT_TOL * n:
         return None
     spec = TransferSpec.for_bank(bank)
     m = spec.band_m
     unit = spec.w.scale(n / spec.w.eval(1.0).real)
     w_nk = unit.window(-n * m, n * m + 1)[::n]  # w_{N k}, k = -m..m
-    qmf_residual = np.max(np.abs(w_nk - (np.arange(-m, m + 1) == 0)))
-    cycles = _cohen_cycles(spec.w, n)
+    residual = np.abs(w_nk - (np.arange(-m, m + 1) == 0))
+    if not np.sum(residual) <= DEFAULT_TOL:  # bounds |R_W 1 - 1| at every t
+        return None
+    qmf_residual = np.max(residual)
+    cycles = _cohen_cycles(bank.lowpass, n)
     basis = _fixed_space(spec)
     dim = 0 if basis is None else basis.shape[1]  # 0: no clear singular-value gap
     if not cycles and dim <= 1:

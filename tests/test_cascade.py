@@ -270,3 +270,18 @@ def test_six_tap_bank_still_diverges():
     result = scaling_function(six_tap_from_angles(0.3, 1.1), 10, 200)
     assert result.diverged and not result.converged
     assert min(result.diffs) > 0.03
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: GridFunction.from_values(-1, 0, [1.0]), "j_level must be nonnegative"),
+        (lambda: scaling_function(haar(), iters=0), "iters must be >= 1"),
+        (lambda: fourier_infinite_product(haar(), 0.5, k_terms=0), "k_terms must be >= 1"),
+        (lambda: haar_telescoping(0.5, 0), "n_terms must be >= 1"),
+    ],
+    ids=["negative-level", "no-iterations", "no-factors", "no-terms"],
+)
+def test_refusal(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

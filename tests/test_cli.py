@@ -106,6 +106,22 @@ class TestDesignVerify:
         assert main(["verify"]) == 2
         assert capsys.readouterr().err == "verify: provide a bank file or --random-banks\n"
 
+    @pytest.mark.parametrize("order", ["U(I+D)", "(I+D)U"])
+    def test_verdicts_that_disagree_are_reported(self, tmp_path, capsys, order):
+        # A = U (I + D) has A A* - I = U (2D + D**2) U* and A* A - I = 2D + D**2:
+        # rotated by pi/8, the quadrature residual (from A A*) is 0.85e-9 and
+        # the polyphase residual (from A* A) 1.2e-9, across the 1e-9
+        # tolerance; (I + D) U swaps them
+        phi, d = np.pi / 8, 6e-10
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        stretch = np.diag([1 + d, 1 - d])
+        mat = rot @ stretch if order == "U(I+D)" else stretch @ rot
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(
+            filters_from_polyphase(MatLaurentPoly.from_constant(mat)).to_json()))
+        assert main(["verify", str(path)]) == 1
+        assert f"{path}: quadrature and polyphase verdicts disagree" in capsys.readouterr().err
+
 
     def test_verify_aliasing_bank_is_usage_error(self, tmp_path, capsys):
         m0 = LaurentPoly.from_coeffs(0, [0.5] + [0.0] * 2047 + [0.5])

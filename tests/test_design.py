@@ -344,3 +344,26 @@ class TestLiftingOnFilters:
             via_filters = polyphase_from_filters(lifting_step_on_filters(bank, step))
             via_matrix = step.matrix() * polyphase_from_filters(bank)
             assert mat_residual(via_filters, via_matrix) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: find_angles_for_bank(FilterBank(2, (
+            LaurentPoly.from_coeffs(0, [0.5, 0.5j]), LaurentPoly.one()))),
+         "must be real with support inside 0..5"),
+        (lambda: find_angles_for_bank(FilterBank(2, (
+            LaurentPoly.from_coeffs(-1, [0.5, 0.5]), LaurentPoly.one()))),
+         "must be real with support inside 0..5"),
+        (lambda: lifting_factorize(MatLaurentPoly.identity(3)),
+         "defined for 2 x 2 matrices"),
+        (lambda: lifting_step_on_filters(
+            filters_from_polyphase(MatLaurentPoly.from_constant(dft_matrix(3))),
+            LiftingStep("lower", LaurentPoly.one())),
+         "lifting steps act on two-band banks"),
+    ],
+    ids=["complex-lowpass", "lowpass-below-0", "three-by-three", "three-band"],
+)
+def test_refusal(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -445,6 +445,39 @@ class TestExactText:
         write_svg_polyline(xs, ys, tmp_path / "p.svg")
         assert (tmp_path / "p.svg").read_bytes() == _reference_svg_bytes(xs, ys)
 
+    @staticmethod
+    def count_row_path_cells(monkeypatch):
+        """Patch `_fixed2_cells`, the row path's formatter, to record the
+        length of each column it is given."""
+        calls = []
+        real = fileio._fixed2_cells
+
+        def row_path_cells(v):
+            calls.append(len(v))
+            return real(v)
+
+        monkeypatch.setattr(fileio, "_fixed2_cells", row_path_cells)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 599])
+    def test_short_svg_block_takes_the_frame_path(self, tmp_path, monkeypatch, n):
+        calls = self.count_row_path_cells(monkeypatch)
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.uniform(-3.0, 4.0, n))
+        ys = np.cumsum(rng.normal(size=n))
+        write_svg_polyline(xs, ys, tmp_path / "p.svg")
+        assert calls == []
+        assert (tmp_path / "p.svg").read_bytes() == _reference_svg_bytes(xs, ys)
+
+    def test_short_svg_block_with_a_nan_takes_the_row_path(self, tmp_path, monkeypatch):
+        calls = self.count_row_path_cells(monkeypatch)
+        xs, ys = np.arange(5.0), np.array([0.0, 1.0, np.nan, 2.0, 1.5])
+        with np.errstate(invalid="ignore"):
+            write_svg_polyline(xs, ys, tmp_path / "p.svg")
+            want = _reference_svg_bytes(xs, ys)
+        assert calls == [5, 5]
+        assert (tmp_path / "p.svg").read_bytes() == want
+
     @pytest.mark.parametrize("special", ["nan-y", "nan-pixel", "huge-pixel"])
     def test_svg_frame_block_with_a_special_cell_takes_the_row_path(
         self, tmp_path, monkeypatch, special
@@ -744,3 +777,14 @@ class TestEndToEndBytes:
         for name, band in bands.items():
             want = _reference_signal_bytes(band, tmp_path / "ref.csv")
             assert (out / name).read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [(lambda path: write_svg_polyline([], [], path), "nothing to plot")],
+    ids=["empty-plot"],
+)
+def test_refusal(tmp_path, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(tmp_path / "p.svg")
+    assert not (tmp_path / "p.svg").exists()

@@ -13,8 +13,10 @@ from helpers import (
 )
 from wavebank.design import ProjectionParam, daubechies4, unitary_from_projections
 from wavebank.filterbank import (
+    BiorthPair,
     FilterBank,
     NonPolynomialInverseError,
+    _as_monomial,
     biorthogonality_residual,
     check_qmf,
     dual_filters,
@@ -300,3 +302,27 @@ class TestSerialization:
     def test_completion_matches_haar(self):
         bank = FilterBank.from_lowpass(haar().lowpass)
         assert bank.filters[1].approx_eq(haar().filters[1], 1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: FilterBank(1, (LaurentPoly.one(),)), ValueError,
+         "scale number must be >= 2"),
+        (lambda: FilterBank(2, (LaurentPoly.one(),)), ValueError,
+         "expected 2 filters, got 1"),
+        (lambda: FilterBank.from_lowpass(LaurentPoly.from_coeffs(0, [1.0, 1.0, 1.0])),
+         ValueError, "support 0..2n[+]1"),
+        (lambda: FilterBank.from_lowpass(LaurentPoly.from_coeffs(1, [1.0, 1.0])),
+         ValueError, "support 0..2n[+]1"),
+        (lambda: BiorthPair(haar(), filters_from_polyphase(MatLaurentPoly.identity(3))),
+         ValueError, "must share the scale number"),
+        (lambda: _as_monomial(LaurentPoly.zero()), SingularOnTorusError,
+         "determinant is identically zero"),
+    ],
+    ids=["one-band", "filter-count", "odd-taps", "min-deg-1", "biorth-mismatch",
+         "zero-determinant"],
+)
+def test_refusal(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

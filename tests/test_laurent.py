@@ -12,9 +12,11 @@ from wavebank.laurent import (
     LaurentPoly,
     MatLaurentPoly,
     SingularOnTorusError,
+    frozen_vector,
     interpolate_torus,
     is_unitary_on_torus,
     k1_class,
+    sample_torus,
     winding_number,
 )
 
@@ -283,3 +285,25 @@ class TestSerialization:
         B = MatLaurentPoly.from_json(A.to_json())
         assert B.min_deg == A.min_deg
         assert all(np.array_equal(x, y) for x, y in zip(A.coeffs, B.coeffs))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: sample_torus(0, [1.0], 0), ValueError, "grid_size must be >= 1, got 0"),
+        (lambda: frozen_vector(np.zeros((2, 2))), ValueError,
+         r"expected a 1-D sequence of numbers, got shape \(2, 2\)"),
+        (lambda: LaurentPoly.zero().max_deg, ValueError, "zero polynomial has no degree"),
+        (lambda: MatLaurentPoly.from_coeffs(0, []), DimensionMismatchError,
+         "need a nonempty stack of square matrices"),
+        (lambda: MatLaurentPoly.from_coeffs(0, [np.zeros((2, 3))]), DimensionMismatchError,
+         "need a nonempty stack of square matrices"),
+        (lambda: MatLaurentPoly.from_entries([[LaurentPoly.one()] * 2, [LaurentPoly.one()]]),
+         DimensionMismatchError, "entry grid must be square"),
+    ],
+    ids=["empty-grid", "matrix-vector", "zero-degree", "empty-stack", "non-square",
+         "ragged-entries"],
+)
+def test_refusal(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,13 @@ from helpers import (
     random_projection_bank,
     random_signal,
 )
-from wavebank.design import daubechies4
-from wavebank.filterbank import FilterBank, check_qmf, dual_filters
+from wavebank.design import daubechies4, dft_matrix
+from wavebank.filterbank import FilterBank, check_qmf, dual_filters, filters_from_polyphase
 from wavebank.laurent import LaurentPoly, MatLaurentPoly
 from wavebank.operators import (
     InvalidPartitionError,
     PacketPartition,
+    PyramidDecomposition,
     Signal,
     analyze,
     build_big_unitary,
@@ -332,6 +336,35 @@ class TestPyramid:
         with pytest.raises(ValueError):
             pyramid_decompose(Signal.impulse(), haar(), 0)
 
+    @pytest.mark.parametrize("n_bands, levels", [(2, 1), (2, 5), (3, 3)])
+    def test_same_bands_as_the_level_loop(self, n_bands, levels):
+        # the pyramid read from the wavelet partition's leaves, against the
+        # loop that splits the coarse band levels times, bitwise both ways
+        bank = daubechies4() if n_bands == 2 else filters_from_polyphase(
+            MatLaurentPoly.from_constant(dft_matrix(3)))
+        c = random_signal(np.random.default_rng(levels), 50, offset=-7)
+        dec = pyramid_decompose(c, bank, levels)
+        coarse, details = c, []
+        for _ in range(levels):
+            coarse, *rest = analyze(coarse, bank)
+            details.append(tuple(rest))
+        assert dec.coarse == coarse and dec.details == tuple(details)
+        back = dec.coarse
+        for level in reversed(details):
+            back = synthesize([back, *level], bank)
+        assert pyramid_reconstruct(dec, bank) == back
+
+    def test_no_details_reconstructs_the_coarse_band(self):
+        c = random_signal(np.random.default_rng(5), 9)
+        assert pyramid_reconstruct(PyramidDecomposition(c, ()), haar()) is c
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_wrong_detail_count_rejected(self, count):
+        c = random_signal(np.random.default_rng(5), 9)
+        dec = PyramidDecomposition(c, ((c,) * count,))
+        with pytest.raises(ValueError, match="expected 1 detail bands at each level"):
+            pyramid_reconstruct(dec, haar())
+
 
 def hadamard(n):
     H = np.array([[1.0]])
@@ -341,6 +374,21 @@ def hadamard(n):
 
 
 class TestPackets:
+    def test_signals_are_freed_without_the_cycle_collector(self):
+        # no reference cycle keeps a leaf alive once its map is dropped, so
+        # its memory comes back at once, not at the next gc pass
+        partition = PacketPartition.wavelet(4)
+        c = random_signal(np.random.default_rng(3), 64)
+        gc.disable()
+        try:
+            leaves = packet_decompose(c, daubechies4(), partition)
+            refs = [weakref.ref(s) for s in leaves.values()]
+            packet_reconstruct(leaves, daubechies4(), partition)
+            del leaves
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
     def test_trivial_partition_is_analyze(self):
         rng = np.random.default_rng(8)
         c = random_signal(rng, 10)
@@ -491,3 +539,26 @@ class TestBigUnitary:
         assert not check_qmf(bank).passed
         U = build_big_unitary(bank)
         assert np.max(np.abs(np.conj(U).T @ U - np.eye(8))) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: downsample(Signal.impulse(), 1), "sampling factor must be >= 2"),
+        (lambda: upsample(Signal.impulse(), 1), "sampling factor must be >= 2"),
+        (lambda: build_big_unitary(
+            filters_from_polyphase(MatLaurentPoly.identity(3))), "two-band banks"),
+        (lambda: build_big_unitary(FilterBank(2, (
+            LaurentPoly.from_coeffs(-1, [0.5, 0.5, 0.5, 0.5]), LaurentPoly.one()))),
+         "low-pass filter must be supported on exactly 0..2n[+]1"),
+        (lambda: build_big_unitary(haar()), "need exactly 2n[+]2 taps with n >= 1; got 2"),
+        (lambda: build_big_unitary(FilterBank(2, (
+            daubechies4().lowpass, LaurentPoly.from_coeffs(4, [1.0])))),
+         "high-pass support must lie inside 0..2n[+]1"),
+    ],
+    ids=["downsample-by-1", "upsample-by-1", "three-band", "lowpass-below-0",
+         "two-taps", "highpass-beyond"],
+)
+def test_refusal(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar, random_poly, stretched_haar
+from helpers import (
+    dft_projection_product,
+    haar,
+    random_poly,
+    random_projection_bank,
+    stretched_haar,
+)
 from wavebank import transfer
 from wavebank.cascade import fourier_infinite_product
 from wavebank.design import (
@@ -13,8 +19,9 @@ from wavebank.design import (
     dft_matrix,
     general_factor,
 )
-from wavebank.filterbank import FilterBank, filters_from_polyphase
-from wavebank.laurent import LaurentPoly, MatLaurentPoly
+from wavebank.defaults import GRID_SIZE
+from wavebank.filterbank import FilterBank, _polyphase_span, check_qmf, filters_from_polyphase
+from wavebank.laurent import LaurentPoly, MatLaurentPoly, _vanishing_floor
 from wavebank.transfer import (
     TransferSpec,
     _horner,
@@ -627,6 +634,112 @@ class TestExactPeriodization:
         assert_hat(exact, length)
 
 
+    def test_bank_with_a_bad_highpass_is_certified(self, monkeypatch):
+        # Cohen's test reads m_0 alone: the other filters of the bank, here a
+        # high-pass that fails the quadrature conditions, do not matter
+        def no_sum(*args, **kwargs):
+            raise AssertionError("per_check fell back to the truncated sum")
+
+        monkeypatch.setattr(transfer, "per_samples", no_sum)
+        bank = FilterBank(2, (daubechies4().lowpass, LaurentPoly.one()))
+        report = per_check(bank)
+        assert report.certified and report.max_dev_from_1 <= 1e-12
+
+
+def cycles_from_n_minus_w(w, scale_n):
+    """The Cohen cycles of W = w found from the roots of z**D (N - W(z)), a
+    polynomial of degree 2 D whose roots on the unit circle are double: the
+    candidate search `_cohen_cycles` made before it read the zeros of m_0,
+    kept here as the oracle for the one that replaced it."""
+    root_tol = transfer._ROOT_TOL
+    d = max(-w.min_deg, w.max_deg)
+    poly = -w.window(-d, d + 1)
+    poly[d] += scale_n
+    roots = np.roots(poly[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) <= root_tol]
+    zeros = np.mod(-np.angle(roots), 2 * np.pi)
+    zeros = [t for t in np.sort(zeros) if min(t, 2 * np.pi - t) > root_tol]
+    zeros = np.array(
+        [t for i, t in enumerate(zeros) if i == 0 or t - zeros[i - 1] > root_tol]
+    )
+
+    def circular(a, b):
+        gap = np.abs(np.mod(a - b, 2 * np.pi))
+        return np.minimum(gap, 2 * np.pi - gap)
+
+    successor = {}
+    for i, t in enumerate(zeros):
+        gap = circular(zeros, scale_n * t)
+        if np.min(gap) <= scale_n * root_tol:
+            successor[i] = int(np.argmin(gap))
+    cycles = []
+    for start in successor:
+        orbit = [start]
+        while len(orbit) <= len(zeros) and successor.get(orbit[-1], start) != start:
+            orbit.append(successor[orbit[-1]])
+        if successor.get(orbit[-1]) != start or min(orbit) != start:
+            continue
+        x = scale_n * zeros[orbit] / (2 * np.pi)
+        if np.any(np.abs(x - np.round(x)) <= scale_n * root_tol):
+            continue
+        j = 0
+        for digit in np.floor(x).astype(int).tolist():
+            j = j * scale_n + digit
+        period = scale_n ** len(orbit) - 1
+        snapped = np.array([float(j * scale_n**i % period) for i in range(len(orbit))])
+        snapped = 2 * np.pi * snapped / period
+        if np.all(np.abs(w.eval_angle(snapped) - scale_n) <= _vanishing_floor(w)):
+            cycles.append(snapped)
+    return cycles
+
+
+def oracle_banks():
+    """The 64 boxes of odd length <= 127, 207 two-band projection banks with
+    0..8 factors, and 100 N = 3 and 50 N = 4 DFT-projection banks of 1..3
+    factors, from a fixed seed."""
+    rng = np.random.default_rng(30)
+    banks = [box_bank(length) for length in range(1, 128, 2)]
+    banks += [random_projection_bank(rng, k % 9) for k in range(207)]
+    for n, count in ((3, 100), (4, 50)):
+        for _ in range(count):
+            k = int(rng.integers(1, 4))
+            vectors = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+            banks.append(filters_from_polyphase(dft_projection_product(n, vectors)))
+    return banks
+
+
+class TestZerosOfTheLowpass:
+    """`per_exact` reads m_0 alone.  Against the bank-wide sampled check and
+    the roots of N - W it replaced, on the same banks: the zeros of m_0 give
+    bitwise the same cycles, and the coefficient precondition
+    sum_k |w_{N k} - delta_k| <= TOL accepts every bank `check_qmf` passed."""
+
+    BANKS = oracle_banks()
+
+    def test_same_cycles_as_the_roots_of_n_minus_w(self):
+        with_cycles = 0
+        for bank in self.BANKS:
+            n = bank.scale_n
+            want = cycles_from_n_minus_w(weight_from_lowpass(bank.lowpass), n)
+            got = transfer._cohen_cycles(bank.lowpass, n)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            with_cycles += bool(got)
+        # every box but the two-tap one has cycles; the other banks have none
+        assert with_cycles == 63
+
+    def test_coefficient_precondition_accepts_what_check_qmf_passed(self, monkeypatch):
+        # with no cycles and no fixed space, per_exact refuses only by a
+        # precondition
+        monkeypatch.setattr(transfer, "_cohen_cycles", lambda m0, n: [])
+        monkeypatch.setattr(transfer, "_fixed_space", lambda spec: None)
+        for bank in self.BANKS:
+            grid = max(GRID_SIZE, 2 * _polyphase_span(bank)[1] + 1)
+            assert check_qmf(bank, grid).passed
+            assert transfer.per_exact(bank) is not None
+
+
 class TestTailPolynomial:
     @pytest.mark.parametrize(
         "bank, n_max",
@@ -735,3 +848,17 @@ class TestFixedPoint:
     def test_sample_count_checked(self):
         with pytest.raises(ValueError):
             fixed_point_check(haar(), np.ones(33), 16)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: TransferSpec(LaurentPoly.one(), 1, 1), "scale number must be >= 2"),
+        (lambda: fixed_point_check(haar(), np.ones(33)),
+         "fine sample count must be a multiple of the scale number"),
+    ],
+    ids=["scale-one", "odd-sample-count"],
+)
+def test_refusal(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

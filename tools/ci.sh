@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# The offline steps of the Tier-1 workflow, in order: the test suite, a 2 s
-# benchmark smoke run of each workload with its outputs checked, and the
-# determinism check (every output byte-equal under two hash seeds).
+# The offline steps of the Tier-1 workflow, in order: the test suite, the
+# command line run as a module (the entry function of the installed
+# `wavebank` script), a 2 s benchmark smoke run of each workload with its
+# outputs checked, and the determinism check (every output byte-equal under
+# two hash seeds).
 #
 #     tools/ci.sh
 #
@@ -15,6 +17,9 @@ workloads=(pyramid-long packets-deep bank-verify diagnose)
 
 echo "== Tier-1 tests"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-collection-errors
+
+echo "== Command line as a module (the console script's entry function)"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m wavebank.cli verify --random-banks 4 --seed 1
 
 echo "== Benchmark smoke run (each workload, 2 s, outputs checked)"
 for w in "${workloads[@]}"; do
