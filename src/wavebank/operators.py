@@ -9,9 +9,11 @@ function-side convention that splits f into halves carries an extra
 1/sqrt(2) from expanding in the unscaled dilate, while the sequence-side
 operators here realize genuine isometries, so energy is preserved exactly.
 
-Band j of `analyze` is the adjoint isometry applied to the input,
-(band_j)_n = sum_k conj(a^{(j)}_k) c_{N n + k}; `synthesize` is the sum of
-the forward isometries, filter convolution after upsampling.
+Band j of `analyze` is the adjoint isometry S_j*, (band_j)_k = sum_t
+conj(A[j, t]) c_{Nk + lo + t}, and `synthesize` is the sum of the S_j: each is
+one product of the bank's tap array A (every filter on the degrees lo..lo +
+mN - 1) with a read-only view of the windows of mN samples that start every N
+samples, the polyphase matrix acting on the N polyphase components.
 
 Packet leaves are labeled (depth k, index n) with the index built from the
 band digits most-significant first (children of (k, n) are (k+1, n*N+band)),
@@ -100,22 +102,59 @@ def convolve_poly(c: Signal, p: LaurentPoly) -> Signal:
     return Signal.from_samples(c.offset + p.min_deg, out)
 
 
+def _tap_array(bank: FilterBank) -> tuple[int, np.ndarray]:
+    """(lo, A): row j of the N x mN array A holds filter j's taps at degrees
+    lo..lo + mN - 1, for the least m covering every nonzero filter, else 0."""
+    n, live = bank.scale_n, [f for f in bank.filters if len(f.data)]
+    lo = min((f.offset for f in live), default=0)
+    hi = max((f.offset + len(f.data) for f in live), default=lo + 1)
+    taps = np.zeros((n, -(-(hi - lo) // n) * n), dtype=complex)
+    for j, f in enumerate(bank.filters):
+        taps[j, f.offset - lo : f.offset - lo + len(f.data)] = f.data
+    return lo, taps
+
+
+def _windows(buf: np.ndarray, width: int, step: int) -> np.ndarray:
+    """A read-only view, no copy, of buf[step i : step i + width] as row i, for
+    every window inside buf."""
+    unit, count = buf.strides[0], (len(buf) - width) // step + 1
+    view = np.ndarray((count, width), buf.dtype, buf, 0, (step * unit, unit))
+    view.flags.writeable = False
+    return view
+
+
 def analyze(c: Signal, bank: FilterBank) -> list:
-    """Subband coefficients: band j is downsample(conj-reversed m_j * c, N)."""
+    """The N adjoint isometries at once: band j is row j of the product of
+    conj(A) with the windows of mN samples of c that start every N samples."""
     n = bank.scale_n
-    return [downsample(convolve_poly(c, f.adjoint()), n) for f in bank.filters]
+    lo, taps = _tap_array(bank)
+    width = taps.shape[1]
+    first = -(-(c.offset - lo - width + 1) // n)  # the first window to reach c
+    last = (c.end - 1 - lo) // n
+    buf = c.window(n * first + lo, n * last + lo + width)
+    bands = np.einsum("kt,jt->jk", _windows(buf, width, n), taps.conj())
+    return [Signal.from_samples(first, row) for row in bands]
 
 
 def synthesize(bands: Sequence[Signal], bank: FilterBank) -> Signal:
-    """Sum over j of m_j * upsample(band_j, N); inverse of analyze for QMF banks."""
-    if len(bands) != bank.scale_n:
-        raise ValueError(
-            f"expected {bank.scale_n} bands, got {len(bands)}"
-        )
-    out = Signal.zero()
-    for band, f in zip(bands, bank.filters):
-        out = out + convolve_poly(upsample(band, bank.scale_n), f)
-    return out
+    """Sum over j of the isometries S_j, inverse of analyze for QMF banks: phase
+    r of output block p is the window of band rows (b_0[k], ..., b_{N-1}[k]),
+    k = p - m + 1..p, times A's phase-r taps in reversed block order."""
+    n = bank.scale_n
+    if len(bands) != n:
+        raise ValueError(f"expected {n} bands, got {len(bands)}")
+    live = [b for b in bands if not b.is_zero]
+    first = min((b.offset for b in live), default=0)
+    end = max((b.end for b in live), default=first)
+    lo, taps = _tap_array(bank)
+    m = taps.shape[1] // n
+    rows = np.zeros((end - first + 2 * m - 2, n), dtype=complex)  # m - 1 zero rows each side
+    for j, b in enumerate(bands):
+        rows[m - 1 + b.offset - first : m - 1 + b.end - first, j] = b.data
+    # phased[r, n u + j] = A[j, n (m - 1 - u) + r]
+    phased = taps.reshape(n, m, n)[:, ::-1].transpose(2, 1, 0).reshape(n, m * n)
+    out = np.einsum("pt,rt->pr", _windows(rows.ravel(), m * n, n), phased)
+    return Signal.from_samples(lo + n * first, out.ravel())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The paper's identities as derandomized properties, on banks with N = 2..4
 bands: the Cuntz relations of S_j c = m_j * upsample(c, N), the adjointness
-of analyze and synthesize, the agreement of the two torus verdicts, and the
+of analyze and synthesize, the packet transform's inverse and energy on
+drawn partitions, the agreement of the two torus verdicts, and the
 unitarity residual's A* from `MatLaurentPoly.adjoint`."""
 
 import math
@@ -26,7 +27,16 @@ from wavebank.laurent import (
     is_unitary_on_torus,
     sample_torus,
 )
-from wavebank.operators import Signal, analyze, inner, synthesize
+from wavebank.operators import (
+    PacketPartition,
+    Signal,
+    analyze,
+    inner,
+    packet_decompose,
+    packet_energy,
+    packet_reconstruct,
+    synthesize,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -44,6 +54,21 @@ def banks(draw):
 
 def signal(rng):
     return random_signal(rng, int(rng.integers(1, 40)), int(rng.integers(-10, 10)))
+
+
+@st.composite
+def partitions(draw, scale_n):
+    """A valid packet partition: the root split, then each node split or not
+    by a drawn boolean, down to depth 5 for N = 2 and depth 3 for N = 3, 4."""
+    max_depth = 5 if scale_n == 2 else 3
+    leaves, nodes = [], [(1, b) for b in range(scale_n)]
+    while nodes:
+        k, index = nodes.pop()
+        if k < max_depth and draw(st.booleans()):
+            nodes.extend((k + 1, index * scale_n + b) for b in range(scale_n))
+        else:
+            leaves.append((k, index))
+    return PacketPartition.from_leaves(leaves)
 
 
 def one_band(bank, j, d):
@@ -77,6 +102,17 @@ def test_analyze_is_the_adjoint_of_synthesize(bank, seed):
     for j, band in enumerate(analyze(c, bank)):
         s_j_d = synthesize(one_band(bank, j, d), bank)
         assert abs(inner(band, d) - inner(c, s_j_d)) <= 1e-12 * c.norm() * d.norm()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bank=banks(), seed=SEEDS, data=st.data())
+def test_packet_transform_is_inverted_and_keeps_energy(bank, seed, data):
+    partition = data.draw(partitions(bank.scale_n))
+    c = signal(np.random.default_rng(seed))
+    leaves = packet_decompose(c, bank, partition)
+    assert set(leaves) == partition.leaves
+    assert (packet_reconstruct(leaves, bank, partition) - c).norm() <= 1e-12 * c.norm()
+    assert abs(packet_energy(leaves) - c.energy()) <= 1e-12 * c.energy()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -2,8 +2,8 @@
 # The offline steps of the Tier-1 workflow, in order: the test suite, the
 # command line run as a module (the entry function of the installed
 # `wavebank` script), a 2 s benchmark smoke run of each workload with its
-# outputs checked, and the determinism check (every output byte-equal under
-# two hash seeds).
+# outputs checked (its ops_per_s and peak_rss_mb printed, not gated), and
+# the determinism check (every output byte-equal under two hash seeds).
 #
 #     tools/ci.sh
 #
@@ -21,10 +21,16 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-col
 echo "== Command line as a module (the console script's entry function)"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m wavebank.cli verify --random-banks 4 --seed 1
 
-echo "== Benchmark smoke run (each workload, 2 s, outputs checked)"
+echo "== Benchmark smoke run (each workload, 2 s, outputs checked; speed and RSS shown, not gated)"
+report='import json, sys
+r = json.loads(sys.stdin.read())
+shown = [(k, r.get("metrics", {}).get(k) or {}) for k in ("ops_per_s", "peak_rss_mb")]
+print(sys.argv[1] + ":", ", ".join(
+    "%s %.4g %s" % (k, m["value"], m["unit"]) for k, m in shown if m.get("value") is not None))
+sys.exit(r.get("correct") is not True)'
 for w in "${workloads[@]}"; do
   python3 bench/run.py --workload "$w" --seconds 2 --trace 0 | tail -n 1 \
-    | python3 -c 'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)' \
+    | python3 -c "$report" "$w" \
     || { echo "benchmark smoke run failed or incorrect: $w"; exit 1; }
 done
 
